@@ -143,7 +143,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		maxNew    = fs.Int("max-new", 32, "per-request generated-token cap")
 		decodePar = fs.Int("decode-par", 0, "decode-step goroutine fan-out (0 = size to batch, 1 = serial)")
 		seed      = fs.Int64("seed", 1, "model weight seed")
-		prefixB   = fs.Int64("prefix-cache-bytes", 0, "shared-prefix KV cache budget in bytes (0 disables; local role only)")
+		prefixB   = fs.Int64("prefix-cache-bytes", 0, "shared-prefix KV cache budget in bytes (0 disables; local role only, since the prefill node has no prefix tier)")
 		specK     = fs.Int("spec-k", 0, "speculative decoding window size (0/1 disable; local role only)")
 		specDraft = fs.String("spec-draft", "", "speculative draft compression class (default "+hack.DefaultDraftClass+"): "+strings.Join(hack.DraftClasses(), ", "))
 		drainFor  = fs.Duration("drain-timeout", 30*time.Second, "graceful-drain budget after SIGTERM")
@@ -182,7 +182,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return usageError{err: err}
 	}
 	if *prefixB > 0 && r != hack.RoleLocal {
-		return usageError{err: fmt.Errorf("-prefix-cache-bytes requires the local role (prefix pages do not ship over the disaggregated KV wire)")}
+		return usageError{err: fmt.Errorf("-prefix-cache-bytes requires the local role (the prefill node has no prefix tier)")}
 	}
 	if (*specK > 1 || *specDraft != "") && r != hack.RoleLocal {
 		return usageError{err: fmt.Errorf("-spec-k/-spec-draft require the local role (disaggregated decode replicas resume remotely-prefilled sessions, which cannot host a draft)")}

@@ -233,16 +233,14 @@ func main() {
 // benchPrefixPrefill measures the shared-prefix warm path against the
 // cold one at the head level: cold prefills all l tokens; warm restores
 // the first cached tokens from exported pages and resumes over the
-// suffix. Both use the same prefix-shareable backend, so the ratio is
-// the per-head TTFT saving a cache hit buys.
+// suffix. Both use the same backend, so the ratio is the per-head TTFT
+// saving a cache hit buys.
 func benchPrefixPrefill(l, cached int) (cold, warm Result) {
+	backend, err := attention.NewHACK(attention.DefaultHACKConfig(13))
+	if err != nil {
+		log.Fatal(err)
+	}
 	mk := func() attention.Head {
-		cfg := attention.DefaultHACKConfig(13)
-		cfg.PrefixShareable = true
-		backend, err := attention.NewHACK(cfg)
-		if err != nil {
-			log.Fatal(err)
-		}
 		h, err := backend.NewHead(128)
 		if err != nil {
 			log.Fatal(err)
@@ -271,12 +269,6 @@ func benchPrefixPrefill(l, cached int) (cold, warm Result) {
 	if err != nil {
 		log.Fatal(err)
 	}
-	cfg := attention.DefaultHACKConfig(13)
-	cfg.PrefixShareable = true
-	backend, err := attention.NewHACK(cfg)
-	if err != nil {
-		log.Fatal(err)
-	}
 	sq, sk, sv := sliceRows(q, cached, l), sliceRows(k, cached, l), sliceRows(v, cached, l)
 	warm = measure(fmt.Sprintf("PrefixPrefill/warm_L%d_cached%d/pi64", l, cached), func(b *testing.B) {
 		b.ReportAllocs()
@@ -296,7 +288,7 @@ func benchPrefixPrefill(l, cached int) (cold, warm Result) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			if _, _, err := h.(attention.PrefixResumer).ResumePrefill(sq.Clone(), sk.Clone(), sv.Clone()); err != nil {
+			if _, _, err := h.Prefill(sq.Clone(), sk.Clone(), sv.Clone()); err != nil {
 				b.Fatal(err)
 			}
 		}

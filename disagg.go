@@ -197,10 +197,10 @@ func (e *Engine) ListenDisagg(ctx context.Context) (*DisaggServer, error) {
 	}
 	sc := e.serveCfg
 	if sc.PrefixCacheBytes > 0 || e.prefixBytes > 0 {
-		// Prefix-shareable heads keep per-operand stream positions and
-		// refuse the classic single-stream wire export the KV transfer
-		// protocol ships, so the two features cannot share a backend.
-		return nil, fmt.Errorf("hack: the shared-prefix cache is not supported in disaggregated roles (prefix-shareable backends do not speak the classic KV wire)")
+		// Prefix pages and shipped caches share one format, but the
+		// prefill node runs its prefills outside the serving runtime
+		// that hosts the tier, so there is nothing to look pages up in.
+		return nil, fmt.Errorf("hack: the shared-prefix cache is not supported in disaggregated roles (the prefill node has no prefix tier)")
 	}
 	ds := &DisaggServer{role: e.role, spec: sc.Model}
 	if ds.spec.Layers == 0 && ds.spec.Hidden == 0 {

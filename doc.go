@@ -94,11 +94,13 @@
 // KV pages from completed prefills are indexed by prompt prefix, and a
 // request sharing a cached prefix restores them and skips prefill over
 // the matched span — streaming tokens byte-identical to its own cold
-// run. Eviction is ref-counted LRU under the byte budget; the hit /
-// miss / tokens-reused / bytes-saved counters appear as
-// Snapshot.PrefixCache. Requires a homomorphic method with
-// requantization elimination, and composes with the local role only
-// (prefix pages do not ship over the disaggregated KV wire).
+// run and to a deployment without the tier, whichever prompt length the
+// pages were cut from: every stochastic-rounding draw is a pure
+// function of (seed, operand, absolute position). Eviction is
+// ref-counted LRU under the byte budget; the hit / miss /
+// tokens-reused / bytes-saved counters appear as Snapshot.PrefixCache.
+// Requires a homomorphic method with requantization elimination, and
+// composes with the local role only (the prefill node has no tier).
 //
 // WithSpeculation(k, class) (or ServeConfig.SpecK/SpecDraft; -spec-k
 // and -spec-draft on the daemon) enables speculative decoding: a cheap
@@ -108,9 +110,9 @@
 // against the cache instead of k single-row decodes, served by a
 // dedicated register-blocked verify path (~2× the single-row calls it
 // replaces, the spec_decode baseline in BENCH_kernels.json). Rejected
-// suffixes roll back the KV tail and rewind the quantizer streams in
-// O(1), so emitted streams stay byte-identical to the non-speculative
-// path per (prompt, seed). Window counts, draft acceptance and
+// suffixes roll back by dropping KV tail rows — the position-keyed
+// quantizer holds no stream state — so emitted streams stay
+// byte-identical to the non-speculative path per (prompt, seed). Window counts, draft acceptance and
 // per-request acceptance percentiles appear as Snapshot.Speculation;
 // sim.Config's SpecK/SpecAcceptance/SpecDraftCost model the same
 // algebra for capacity planning. Local role only.
@@ -120,8 +122,8 @@
 // WithRole splits that runtime across real processes over a TCP KV
 // wire, reproducing the paper's disaggregated deployment shape:
 // RolePrefill nodes run kernel prefills and ship each head's quantized
-// KV pages as CRC-checked wire frames (plus the quantizer's RNG draw
-// counts, so the receiver replays the exact stream state); RoleDecode
+// KV pages as CRC-checked wire frames — the same page format the prefix
+// tier caches, with no quantizer state to replay; RoleDecode
 // replicas reconstruct the cache into the continuous-batching loop;
 // a RoleRouter fronts the deployment with load-aware placement
 // (pending KV bytes + in-flight, the simulator's LoadAware signals),

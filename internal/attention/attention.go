@@ -21,7 +21,6 @@ package attention
 import (
 	"fmt"
 	"math"
-	"math/rand"
 
 	"github.com/hackkv/hack/internal/fp16"
 	"github.com/hackkv/hack/internal/hack"
@@ -67,7 +66,9 @@ func (s *Stats) Add(s2 Stats) {
 }
 
 // Head is the per-sequence, per-attention-head state of a backend. Calls
-// must alternate a single Prefill followed by zero or more Decodes.
+// must alternate a single Prefill followed by zero or more Decodes; a
+// head restored over cached tokens takes its Prefill over the rows that
+// follow them.
 //
 // The matrix returned by Prefill or Decode is owned by the head and is
 // only valid until the next call on the same head: the hot decode loop
@@ -242,8 +243,8 @@ type DequantConfig struct {
 	Pi int
 	// KVBits is the code width (2 in the paper).
 	KVBits int
-	// Rounding and Seed configure the quantizer; each head derives its
-	// own deterministic RNG from Seed.
+	// Rounding and Seed configure the quantizer; every head rounds under
+	// the stream keys quant.StreamKeys(Seed).
 	Rounding quant.Rounding
 	Seed     int64
 	// WireFactor scales the wire size relative to raw packed codes,
@@ -274,10 +275,9 @@ func (b *DequantBackend) Name() string { return b.cfg.MethodName }
 
 // NewHead implements Backend.
 func (b *DequantBackend) NewHead(headDim int) (Head, error) {
-	rng := rand.New(rand.NewSource(b.cfg.Seed))
 	c, err := kvcache.NewTokenQuant(kvcache.Config{
 		HeadDim: headDim, Pi: b.cfg.Pi, KVBits: b.cfg.KVBits,
-		Rounding: b.cfg.Rounding, RNG: rng,
+		Rounding: b.cfg.Rounding, Keys: quant.StreamKeys(b.cfg.Seed),
 	})
 	if err != nil {
 		return nil, err
@@ -357,7 +357,11 @@ type HACKConfig struct {
 	// RequantizationElimination keeps the trailing V block in FP16
 	// (§5.3); disabling it yields the HACK/RQE ablation.
 	RequantizationElimination bool
-	// Rounding and Seed configure the quantizers.
+	// Rounding and Seed configure the quantizers. Under stochastic
+	// rounding every operand rounds under its stream key from
+	// quant.StreamKeys(Seed), each element at its absolute position, so
+	// a head's codes never depend on the prompt's length, on the order
+	// operands are quantized in, or on which node quantizes them.
 	Rounding quant.Rounding
 	Seed     int64
 	// NameOverride replaces the derived method name when non-empty.
@@ -375,29 +379,19 @@ type HACKConfig struct {
 	// like the sweep pool, 1 forces serial. Outputs are bit-identical at
 	// every setting.
 	Parallelism int
-	// PrefixShareable switches the head to the shared-prefix
-	// quantization discipline: counted stochastic rounding (exactly one
-	// RNG draw per element) over four independent per-operand streams
-	// (K, V, Q, P) derived from Seed, so every draw's stream position
-	// is a pure function of the token position it encodes rather than
-	// of the whole prompt's length. Heads in this mode can export
-	// Π-aligned KV pages and be restored from cached pages with
-	// bit-identical downstream output (RestorePrefixHead /
-	// PrefixResumer). They do not interoperate with the classic
-	// single-stream wire export used by disaggregated handoff, and
-	// require RQE with eviction disabled.
-	PrefixShareable bool
 }
 
-// rounding returns the quantizer rounding mode the configuration
-// actually runs: prefix-shareable heads promote plain stochastic
-// rounding to the counted discipline (NearestRounding, being
-// deterministic and draw-free, passes through).
-func (c HACKConfig) rounding() quant.Rounding {
-	if c.PrefixShareable && c.Rounding == quant.StochasticRounding {
-		return quant.CountedStochasticRounding
+// transferable reports why heads of this configuration cannot move
+// their cache to another head — wire export and restore, prefix pages,
+// speculative rollback — or nil when they can.
+func (c HACKConfig) transferable() error {
+	if !c.RequantizationElimination {
+		return fmt.Errorf("attention: cache transfer requires RQE (the quantized-tail ablation does not ship)")
 	}
-	return c.Rounding
+	if c.EvictBudgetTokens > 0 {
+		return fmt.Errorf("attention: cache transfer with eviction enabled would lose the score state")
+	}
+	return nil
 }
 
 // DefaultHACKConfig returns the paper's shipping configuration:
@@ -423,14 +417,6 @@ func NewHACK(cfg HACKConfig) (*HACKBackend, error) {
 	if cfg.QBits < 1 || cfg.QBits > 8 || cfg.KVBits < 1 || cfg.KVBits > 8 {
 		return nil, fmt.Errorf("attention: hack bits q=%d kv=%d", cfg.QBits, cfg.KVBits)
 	}
-	if cfg.PrefixShareable {
-		if !cfg.RequantizationElimination {
-			return nil, fmt.Errorf("attention: prefix sharing requires RQE (pages hold complete partitions only)")
-		}
-		if cfg.EvictBudgetTokens > 0 {
-			return nil, fmt.Errorf("attention: prefix sharing with eviction enabled would desynchronize cached pages")
-		}
-	}
 	return &HACKBackend{cfg: cfg}, nil
 }
 
@@ -449,147 +435,50 @@ func (b *HACKBackend) Name() string {
 	return name
 }
 
-// splitmixSource is the quantizer RNG: a counter-mode generator whose
-// draw i is a pure function of (seed, i) — a splitmix64 finalizer over
-// the draw index. Counter mode is what makes the stream seekable: any
-// absolute draw position can be reached in O(1) by setting the index,
-// which speculative rollback (rewinding a rejected draft suffix out of
-// the stream) and the disaggregated handoff (fast-forwarding a fresh
-// source to the prefill instance's count) both depend on. A sequential
-// generator would force an O(position) replay for either.
-type splitmixSource struct {
-	seed uint64
-	i    uint64 // next draw index
-}
-
-func (s *splitmixSource) Uint64() uint64 {
-	z := s.seed + 0x9e3779b97f4a7c15*(s.i+1)
-	s.i++
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
-}
-
-func (s *splitmixSource) Int63() int64 { return int64(s.Uint64() >> 1) }
-
-func (s *splitmixSource) Seed(sd int64) { s.seed = uint64(sd); s.i = 0 }
-
-// seeker is a source that can jump to an absolute draw position.
-type seeker interface{ seek(pos uint64) }
-
-func (s *splitmixSource) seek(pos uint64) { s.i = pos }
-
-// countingSource wraps the quantizer RNG source and counts state
-// advances. Every Rand method consumes exactly one source call per
-// draw, so the count is the head's position in the seed's stream: a
-// decode instance can fast-forward a fresh source by the same count and
-// continue the stream bit-identically (the disaggregated handoff).
-type countingSource struct {
-	src rand.Source64
-	n   uint64
-}
-
-func (c *countingSource) Int63() int64 {
-	c.n++
-	return c.src.Int63()
-}
-
-func (c *countingSource) Uint64() uint64 {
-	c.n++
-	return c.src.Uint64()
-}
-
-func (c *countingSource) Seed(s int64) { c.src.Seed(s) }
-
-// seek lands the stream at an absolute draw position, forward or
-// backward, and reports whether the underlying source supported it.
-// Safe to call directly on the source: rand.Rand buffers no state for
-// the integer/float methods the quantizers use.
-func (c *countingSource) seek(pos uint64) bool {
-	s, ok := c.src.(seeker)
-	if ok {
-		s.seek(pos)
-		c.n = pos
-	}
-	return ok
-}
-
-// newCountingRand builds the per-head quantizer RNG: the deterministic
-// seekable source behind a draw counter.
-func newCountingRand(seed int64) (*rand.Rand, *countingSource) {
-	src := &splitmixSource{}
-	src.Seed(seed)
-	cnt := &countingSource{src: src}
-	return rand.New(cnt), cnt
-}
-
-// NewHead implements Backend.
-func (b *HACKBackend) NewHead(headDim int) (Head, error) {
-	if b.cfg.PrefixShareable {
-		return b.newPrefixHead(headDim, nil, nil)
-	}
-	rng, cnt := newCountingRand(b.cfg.Seed)
-	c, err := kvcache.New(kvcache.Config{
+// newHead builds a head over the cache build makes from the backend's
+// cache configuration. Every head — fresh, restored from a shipped
+// cache, or restored from prefix pages — is built here.
+func (b *HACKBackend) newHead(headDim int, build func(kvcache.Config) (*kvcache.Cache, error)) (Head, error) {
+	keys := quant.StreamKeys(b.cfg.Seed)
+	c, err := build(kvcache.Config{
 		HeadDim: headDim, Pi: b.cfg.Pi, KVBits: b.cfg.KVBits,
-		Rounding: b.cfg.Rounding, RNG: rng,
+		Rounding: b.cfg.Rounding, Keys: keys,
 		RQE: b.cfg.RequantizationElimination,
 	})
 	if err != nil {
 		return nil, err
 	}
-	return &hackHead{cfg: b.cfg, c: c, rng: rng, cnt: cnt,
+	return &hackHead{cfg: b.cfg, c: c, keys: keys,
 		s: &tensor.Matrix{}, pFull: &tensor.Matrix{}, pvOut: &tensor.Matrix{},
 		pTail: &tensor.Matrix{}, tailOut: &tensor.Matrix{}, out: &tensor.Matrix{}}, nil
 }
 
-// RestoreHead rebuilds per-sequence head state on a decode instance from
-// shipped cache contents: the quantized K and V (complete partitions),
-// the FP16 RQE tail, and the prefill instance's RNG draw count. The
-// restored head's quantizer RNG is fast-forwarded to the shipped count,
-// so subsequent Decode calls produce bit-identical output to a head that
-// ran the prefill locally.
+// NewHead implements Backend.
+func (b *HACKBackend) NewHead(headDim int) (Head, error) { return b.newHead(headDim, kvcache.New) }
+
+// RestoreHead rebuilds per-sequence head state from shipped cache
+// contents: the quantized K and V (complete partitions) and the FP16 RQE
+// tail. Every quantizer draw is a pure function of the token position,
+// so the restored head continues bit-identically to the head that
+// produced the cache with no stream state to carry: rngDraws must be 0.
+// A non-zero count comes from an encoder that rounds under a
+// sequential stream, whose codes this node would silently diverge from.
 func (b *HACKBackend) RestoreHead(headDim int, k, v *quant.Tensor, tail *tensor.Matrix, rngDraws uint64) (Head, error) {
-	if b.cfg.PrefixShareable {
-		return nil, fmt.Errorf("attention: prefix-shareable backends restore pages (RestorePrefixHead), not the single-stream wire form")
+	if rngDraws != 0 {
+		return nil, fmt.Errorf("attention: restore of a cache shipped with %d RNG draws (a sequential-stream rounding layout this node does not speak)", rngDraws)
 	}
-	if !b.cfg.RequantizationElimination {
-		return nil, fmt.Errorf("attention: restore requires RQE (the quantized-tail ablation does not ship)")
-	}
-	if b.cfg.EvictBudgetTokens > 0 {
-		return nil, fmt.Errorf("attention: restore with eviction enabled would lose the score state")
-	}
-	rng, cnt := newCountingRand(b.cfg.Seed)
-	if !cnt.seek(rngDraws) {
-		for i := uint64(0); i < rngDraws; i++ {
-			cnt.Int63()
-		}
-	}
-	c, err := kvcache.Restore(kvcache.Config{
-		HeadDim: headDim, Pi: b.cfg.Pi, KVBits: b.cfg.KVBits,
-		Rounding: b.cfg.Rounding, RNG: rng, RQE: true,
-	}, k, v, tail)
-	if err != nil {
+	if err := b.cfg.transferable(); err != nil {
 		return nil, err
 	}
-	return &hackHead{cfg: b.cfg, c: c, rng: rng, cnt: cnt,
-		s: &tensor.Matrix{}, pFull: &tensor.Matrix{}, pvOut: &tensor.Matrix{},
-		pTail: &tensor.Matrix{}, tailOut: &tensor.Matrix{}, out: &tensor.Matrix{}}, nil
+	return b.newHead(headDim, func(cfg kvcache.Config) (*kvcache.Cache, error) {
+		return kvcache.Restore(cfg, k, v, tail)
+	})
 }
 
 type hackHead struct {
-	cfg HACKConfig
-	c   *kvcache.Cache
-	rng *rand.Rand
-	cnt *countingSource
-	// pf holds the four per-operand quantizer streams of a
-	// prefix-shareable head (nil in classic mode, where rng/cnt drive a
-	// single shared stream).
-	pf *prefixStreams
-	// resumeRows is the cached token count of an in-progress
-	// ResumePrefill: attend skips that many rows' worth of Q and P
-	// draws so the suffix lands on the cold path's stream positions.
-	// Zero outside a resume.
-	resumeRows int
+	cfg  HACKConfig
+	c    *kvcache.Cache
+	keys quant.Keys
 	// scores accumulates each cached token's received attention mass
 	// for the eviction policy; Evictions counts dropped blocks.
 	scores    []float64
@@ -605,25 +494,10 @@ type hackHead struct {
 	tailOut, out *tensor.Matrix
 }
 
-func (h *hackHead) qCfg() quant.Config {
-	return quant.Config{Bits: h.cfg.QBits, Partition: h.cfg.Pi, Rounding: h.cfg.Rounding, RNG: h.rng}
-}
-
-// qCfgQ and qCfgP select the quantizer configuration for the Q and P
-// operands: the dedicated per-operand stream under prefix sharing, the
-// classic shared stream otherwise.
-func (h *hackHead) qCfgQ() quant.Config {
-	if h.pf != nil {
-		return quant.Config{Bits: h.cfg.QBits, Partition: h.cfg.Pi, Rounding: h.cfg.rounding(), RNG: h.pf.q}
-	}
-	return h.qCfg()
-}
-
-func (h *hackHead) qCfgP() quant.Config {
-	if h.pf != nil {
-		return quant.Config{Bits: h.cfg.QBits, Partition: h.cfg.Pi, Rounding: h.cfg.rounding(), RNG: h.pf.p}
-	}
-	return h.qCfg()
+// qCfg is the Q/P quantizer configuration for rows starting at absolute
+// position row0 of the operand with stream key key.
+func (h *hackHead) qCfg(key uint64, row0 int) quant.Config {
+	return quant.Config{Bits: h.cfg.QBits, Partition: h.cfg.Pi, Rounding: h.cfg.Rounding, Key: key, Row0: row0}
 }
 
 func (h *hackHead) opts() hack.Options {
@@ -631,17 +505,13 @@ func (h *hackHead) opts() hack.Options {
 }
 
 // attend computes softmax(q·Kᵀ/√d)·V against the cache for the given
-// query rows; maskOffset >= 0 applies the causal mask (prefill),
-// maskOffset < 0 skips it (decode attends to everything).
+// query rows — the cache's most recently appended tokens; maskOffset >= 0
+// applies the causal mask (prefill), maskOffset < 0 skips it (decode
+// attends to everything).
 func (h *hackHead) attend(q *tensor.Matrix, maskOffset int, st *Stats) (*tensor.Matrix, error) {
 	dh := q.Cols
-	if h.resumeRows > 0 && h.pf != nil {
-		// The cold path quantized Q for every prompt row; a resumed
-		// prefill only quantizes the suffix. Skip the cached rows' draws
-		// so the suffix rows encode at the cold path's stream positions.
-		h.pf.skip(streamOpQ, h.resumeRows*dh)
-	}
-	qq, err := quant.QuantizeInto(h.qq, q, quant.AlongCols, h.qCfgQ())
+	row0 := h.c.NextPos() - q.Rows
+	qq, err := quant.QuantizeInto(h.qq, q, quant.AlongCols, h.qCfg(h.keys.Q, row0))
 	if err != nil {
 		return nil, err
 	}
@@ -668,13 +538,10 @@ func (h *hackHead) attend(q *tensor.Matrix, maskOffset int, st *Stats) (*tensor.
 	nFull := h.c.VFull.Rows
 	out := h.out.Reset(q.Rows, dh)
 	if nFull > 0 {
-		if h.resumeRows > 0 && h.pf != nil {
-			// Same skip for P: the cold path quantized one nFull-wide P
-			// row per cached prompt row before reaching the suffix rows.
-			h.pf.skip(streamOpP, h.resumeRows*nFull)
-		}
+		// P row i is query position row0+i and its columns are key
+		// positions, so no draw depends on the prompt's length.
 		pFull := s.SliceColsInto(h.pFull, 0, nFull)
-		pq, err := quant.QuantizeInto(h.pq, pFull, quant.AlongCols, h.qCfgP())
+		pq, err := quant.QuantizeInto(h.pq, pFull, quant.AlongCols, h.qCfg(h.keys.P, row0))
 		if err != nil {
 			return nil, err
 		}
@@ -700,6 +567,9 @@ func (h *hackHead) attend(q *tensor.Matrix, maskOffset int, st *Stats) (*tensor.
 	return out, nil
 }
 
+// Prefill implements Head. On a head restored over cached tokens it
+// continues the prefill: q/k/v are the rows that follow them, and the
+// causal mask lets query row i attend positions up to cached+i.
 func (h *hackHead) Prefill(q, k, v *tensor.Matrix) (*tensor.Matrix, Stats, error) {
 	var st Stats
 	if err := h.c.AppendPrefill(k, v); err != nil {
@@ -707,7 +577,7 @@ func (h *hackHead) Prefill(q, k, v *tensor.Matrix) (*tensor.Matrix, Stats, error
 	}
 	st.QuantOps += 2 * 2 * int64(k.Rows) * int64(k.Cols) // K and V quantization
 	before := h.c.RequantOps
-	out, err := h.attend(q, 0, &st)
+	out, err := h.attend(q, h.c.Len()-q.Rows, &st)
 	st.RequantOps += h.c.RequantOps - before
 	return out, st, err
 }
@@ -738,23 +608,18 @@ func (h *hackHead) WireSize() int             { return h.c.WireSize() }
 // are not served disaggregated by this runtime.
 type WireExporter interface {
 	// ExportWire returns the cache contents in wire form — quantized K
-	// (token-major), quantized V (complete partitions), the FP16 RQE
-	// tail, and the quantizer RNG draw count a restored head must fast-
-	// forward past. The tensors are owned by the head: frame them before
-	// the next Decode call mutates the cache.
+	// (token-major), quantized V (complete partitions) and the FP16 RQE
+	// tail — plus an RNG draw count that is always 0: the quantizer
+	// keeps no stream state for a restored head to catch up on. The
+	// tensors are owned by the head: frame them before the next Decode
+	// call mutates the cache.
 	ExportWire() (k, v *quant.Tensor, tail *tensor.Matrix, rngDraws uint64, err error)
 }
 
 // ExportWire implements WireExporter.
 func (h *hackHead) ExportWire() (*quant.Tensor, *quant.Tensor, *tensor.Matrix, uint64, error) {
-	if h.pf != nil {
-		return nil, nil, nil, 0, fmt.Errorf("attention: prefix-shareable heads export pages (ExportPrefixPages), not the single-stream wire form")
+	if err := h.cfg.transferable(); err != nil {
+		return nil, nil, nil, 0, err
 	}
-	if !h.cfg.RequantizationElimination {
-		return nil, nil, nil, 0, fmt.Errorf("attention: export requires RQE (the quantized-tail ablation does not ship)")
-	}
-	if h.cfg.EvictBudgetTokens > 0 {
-		return nil, nil, nil, 0, fmt.Errorf("attention: export with eviction enabled would lose the score state")
-	}
-	return h.c.K, h.c.VFull, h.c.VTail, h.cnt.n, nil
+	return h.c.K, h.c.VFull, h.c.VTail, 0, nil
 }

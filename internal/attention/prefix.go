@@ -2,62 +2,38 @@ package attention
 
 import (
 	"fmt"
-	"math/rand"
 
-	"github.com/hackkv/hack/internal/kvcache"
 	"github.com/hackkv/hack/internal/quant"
 	"github.com/hackkv/hack/internal/tensor"
 )
 
-// This file implements the shared-prefix quantization discipline
-// (HACKConfig.PrefixShareable): the head machinery that makes a
-// quantized Π-aligned KV page a position-addressable artifact, so a
-// page produced while serving one request restores bit-identically
-// into another request over the same prompt prefix and seed.
-//
-// Classic heads draw all quantizer randomness from one per-head stream
-// in operation order — K(all rows), V(complete partitions), Q(rows),
-// P(rows×nFull) — so each draw's stream position depends on the whole
-// prompt's length, and a page cut from one prompt cannot match a
-// different prompt's cold path. Prefix-shareable heads instead run
-// counted rounding (one draw per element, unconditionally; see
-// quant.CountedStochasticRounding) over four independent per-operand
-// streams, making every draw position a pure function of the token
-// position it encodes:
-//
-//	K stream:  row t uses draws [t·d_h, (t+1)·d_h)
-//	V stream:  partition p uses draws [p·Π·d_h, (p+1)·Π·d_h)
-//	Q stream:  prompt row t uses draws [t·d_h, (t+1)·d_h)
-//	P stream:  prompt row t uses draws [t·nFull, (t+1)·nFull)
-//
-// Restoring a cached prefix then reduces to fast-forwarding the K and
-// V streams past the restored rows and skipping the Q and P draws of
-// the rows whose attention outputs are not recomputed (ResumePrefill).
+// This file is the shared-prefix face of the HACK head: a quantized
+// Π-aligned KV page is a position-addressable artifact, so a page
+// produced while serving one request restores bit-identically into
+// another request over the same prompt prefix and seed — whatever the
+// two prompts' lengths. That holds by construction of the rounding
+// layout (quant.StochasticRounding): every draw is a pure function of
+// (seed, operand, absolute position), so the cold path quantizes the
+// prefix rows exactly as the donor did, and a restored head resumes with
+// no stream state to fast-forward. Pages are the same K/V tensors the
+// disaggregated wire ships (ExportWire / RestoreHead), cut at partition
+// boundaries and without the FP16 tail.
 
 // PrefixBackend is implemented by attention backends whose heads
 // support the shared-prefix page discipline.
 type PrefixBackend interface {
 	Backend
 	// PrefixLayout reports the page-relevant quantization geometry
-	// (partition size Π, KV code width), or an error when the backend
-	// is not configured for prefix sharing.
+	// (partition size Π, KV code width), or an error when the backend's
+	// heads cannot hand their cache over (the HACK/RQE ablation, KV
+	// eviction).
 	PrefixLayout() (pi, kvBits int, err error)
 	// RestorePrefixHead rebuilds a head over cached pages: quantized K
 	// and V covering the same Π-aligned token count, with no FP16
-	// tail. A subsequent ResumePrefill and Decodes are bit-identical
-	// to a head that prefilled those tokens itself.
+	// tail. A subsequent Prefill over the prompt's remaining rows and
+	// the Decodes after it are bit-identical to a head that prefilled
+	// the whole prompt itself.
 	RestorePrefixHead(headDim int, k, v *quant.Tensor) (Head, error)
-}
-
-// PrefixResumer is implemented by heads that can continue a prefill on
-// top of restored shared-prefix pages.
-type PrefixResumer interface {
-	// ResumePrefill appends the prompt suffix's k/v rows to the
-	// restored cache and attends the suffix queries over the full
-	// cache, with the causal mask offset by the cached token count.
-	// Outputs are bit-identical to the corresponding rows of a cold
-	// Prefill over the whole prompt.
-	ResumePrefill(q, k, v *tensor.Matrix) (*tensor.Matrix, Stats, error)
 }
 
 // PrefixPageExporter is implemented by heads whose Π-aligned cache
@@ -69,187 +45,24 @@ type PrefixPageExporter interface {
 	ExportPrefixPages(lo, hi int) (k, v *quant.Tensor, err error)
 }
 
-// prefixStreams holds the four per-operand quantizer streams of a
-// prefix-shareable head. Each stream sits behind a countingSource so the
-// head always knows its absolute draw position — the state speculative
-// decoding's rollback (hackHead.Truncate) rewinds to when a rejected
-// draft suffix must disappear from the stream history.
-type prefixStreams struct {
-	k, v, q, p             *rand.Rand
-	kCnt, vCnt, qCnt, pCnt *countingSource
-	seed                   int64
-}
-
-// Operand tags for stream-seed derivation. Fixed constants: changing
-// them (or deriveStreamSeed) invalidates every cached page.
-const (
-	streamOpK = 1
-	streamOpV = 2
-	streamOpQ = 3
-	streamOpP = 4
-)
-
-// deriveStreamSeed whitens (seed, op) into a per-operand stream seed
-// with a splitmix64 finalizer, so the four streams of one head stay
-// decorrelated even for adjacent request seeds. Determinism is all
-// correctness needs; the whitening is for statistical hygiene.
-func deriveStreamSeed(seed int64, op uint64) int64 {
-	z := uint64(seed) + 0x9e3779b97f4a7c15*(1+op)
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return int64(z ^ (z >> 31))
-}
-
-func newPrefixStreams(seed int64) *prefixStreams {
-	ps := &prefixStreams{seed: seed}
-	ps.k, ps.kCnt = newCountingRand(deriveStreamSeed(seed, streamOpK))
-	ps.v, ps.vCnt = newCountingRand(deriveStreamSeed(seed, streamOpV))
-	ps.q, ps.qCnt = newCountingRand(deriveStreamSeed(seed, streamOpQ))
-	ps.p, ps.pCnt = newCountingRand(deriveStreamSeed(seed, streamOpP))
-	return ps
-}
-
-// rewind re-lands one operand stream at an absolute draw position —
-// O(1) on the counter-mode source; the replay fallback reseeds and
-// fast-forwards. Speculation pays it when a draft suffix is rejected,
-// and only for the streams whose positions moved (K, Q, P; the V
-// stream draws nothing inside a clamped verify window). The state
-// changes in place, never by replacing the *rand.Rand: the KV cache
-// captured the K and V stream pointers at construction, so swapping in
-// a fresh object would silently detach it from the stream.
-func (ps *prefixStreams) rewind(op uint64, pos uint64) {
-	var r *rand.Rand
-	var c *countingSource
-	switch op {
-	case streamOpK:
-		r, c = ps.k, ps.kCnt
-	case streamOpV:
-		r, c = ps.v, ps.vCnt
-	case streamOpQ:
-		r, c = ps.q, ps.qCnt
-	case streamOpP:
-		r, c = ps.p, ps.pCnt
-	}
-	if c.seek(pos) {
-		return
-	}
-	r.Seed(deriveStreamSeed(ps.seed, op))
-	c.n = 0
-	for i := uint64(0); i < pos; i++ {
-		r.Int63()
-	}
-}
-
-// skip advances one operand stream by exactly n draws. Counted rounding
-// consumes one Int63 per encoded element, so n element encodes ≡ n
-// draws. Like rewind, O(1) on the counter-mode source.
-func (ps *prefixStreams) skip(op uint64, n int) {
-	var r *rand.Rand
-	var c *countingSource
-	switch op {
-	case streamOpK:
-		r, c = ps.k, ps.kCnt
-	case streamOpV:
-		r, c = ps.v, ps.vCnt
-	case streamOpQ:
-		r, c = ps.q, ps.qCnt
-	case streamOpP:
-		r, c = ps.p, ps.pCnt
-	}
-	if c.seek(c.n + uint64(n)) {
-		return
-	}
-	for i := 0; i < n; i++ {
-		r.Int63()
-	}
-}
-
-// newPrefixHead builds a prefix-shareable head over the four derived
-// operand streams; non-nil k/v restore already-cached content with the
-// K and V streams fast-forwarded past it.
-func (b *HACKBackend) newPrefixHead(headDim int, k, v *quant.Tensor) (Head, error) {
-	pf := newPrefixStreams(b.cfg.Seed)
-	cfg := kvcache.Config{
-		HeadDim: headDim, Pi: b.cfg.Pi, KVBits: b.cfg.KVBits,
-		Rounding: b.cfg.rounding(), KRNG: pf.k, VRNG: pf.v,
-		RQE: true,
-	}
-	var c *kvcache.Cache
-	var err error
-	if k == nil {
-		c, err = kvcache.New(cfg)
-	} else {
-		c, err = kvcache.Restore(cfg, k, v, tensor.New(0, headDim))
-		if err == nil {
-			// The cold path drew d_h uniforms per token per operand for
-			// the restored span; land the streams just past it.
-			pf.skip(streamOpK, k.Rows*headDim)
-			pf.skip(streamOpV, v.Rows*headDim)
-		}
-	}
-	if err != nil {
-		return nil, err
-	}
-	return &hackHead{cfg: b.cfg, c: c, pf: pf,
-		s: &tensor.Matrix{}, pFull: &tensor.Matrix{}, pvOut: &tensor.Matrix{},
-		pTail: &tensor.Matrix{}, tailOut: &tensor.Matrix{}, out: &tensor.Matrix{}}, nil
-}
-
 // PrefixLayout implements PrefixBackend.
 func (b *HACKBackend) PrefixLayout() (int, int, error) {
-	if !b.cfg.PrefixShareable {
-		return 0, 0, fmt.Errorf("attention: backend %q is not prefix-shareable", b.Name())
+	if err := b.cfg.transferable(); err != nil {
+		return 0, 0, err
 	}
 	return b.cfg.Pi, b.cfg.KVBits, nil
 }
 
-// RestorePrefixHead implements PrefixBackend.
+// RestorePrefixHead implements PrefixBackend: pages are a shipped
+// cache without an FP16 tail.
 func (b *HACKBackend) RestorePrefixHead(headDim int, k, v *quant.Tensor) (Head, error) {
-	if !b.cfg.PrefixShareable {
-		return nil, fmt.Errorf("attention: backend %q is not prefix-shareable", b.Name())
-	}
-	if k == nil || v == nil {
-		return nil, fmt.Errorf("attention: prefix restore with nil pages")
-	}
-	if k.Rows != v.Rows {
-		return nil, fmt.Errorf("attention: prefix restore K %d rows vs V %d", k.Rows, v.Rows)
-	}
-	if k.Rows <= 0 || k.Rows%b.cfg.Pi != 0 {
-		return nil, fmt.Errorf("attention: prefix restore over %d rows (need a positive multiple of Π=%d)", k.Rows, b.cfg.Pi)
-	}
-	return b.newPrefixHead(headDim, k, v)
-}
-
-// ResumePrefill implements PrefixResumer: q/k/v hold only the prompt
-// suffix rows that follow the restored prefix.
-func (h *hackHead) ResumePrefill(q, k, v *tensor.Matrix) (*tensor.Matrix, Stats, error) {
-	var st Stats
-	if h.pf == nil {
-		return nil, st, fmt.Errorf("attention: resume on a non-prefix-shareable head")
-	}
-	cached := h.c.Len()
-	if cached <= 0 || cached%h.cfg.Pi != 0 {
-		return nil, st, fmt.Errorf("attention: resume over %d cached tokens (need a positive multiple of Π=%d)", cached, h.cfg.Pi)
-	}
-	if q.Rows == 0 {
-		return nil, st, fmt.Errorf("attention: resume with an empty suffix")
-	}
-	if err := h.c.AppendPrefill(k, v); err != nil {
-		return nil, st, err
-	}
-	st.QuantOps += 2 * 2 * int64(k.Rows) * int64(k.Cols)
-	h.resumeRows = cached
-	defer func() { h.resumeRows = 0 }()
-	// maskOffset = cached: suffix row i is global row cached+i, allowed
-	// to attend positions 0..cached+i.
-	out, err := h.attend(q, cached, &st)
-	return out, st, err
+	return b.RestoreHead(headDim, k, v, tensor.New(0, headDim), 0)
 }
 
 // ExportPrefixPages implements PrefixPageExporter.
 func (h *hackHead) ExportPrefixPages(lo, hi int) (*quant.Tensor, *quant.Tensor, error) {
-	if h.pf == nil {
-		return nil, nil, fmt.Errorf("attention: page export on a non-prefix-shareable head")
+	if err := h.cfg.transferable(); err != nil {
+		return nil, nil, err
 	}
 	if lo < 0 || hi <= lo || hi > h.c.VFull.Rows || lo%h.cfg.Pi != 0 || hi%h.cfg.Pi != 0 {
 		return nil, nil, fmt.Errorf("attention: page span [%d,%d) of %d quantized rows (Π=%d)",

@@ -3,14 +3,12 @@ package attention
 import (
 	"testing"
 
-	"github.com/hackkv/hack/internal/quant"
 	"github.com/hackkv/hack/internal/tensor"
 )
 
 func prefixCfg(seed int64) HACKConfig {
 	cfg := DefaultHACKConfig(seed)
 	cfg.Pi = 8 // small Π keeps multi-block scenarios cheap
-	cfg.PrefixShareable = true
 	return cfg
 }
 
@@ -90,7 +88,7 @@ func TestPrefixWarmColdByteIdentity(t *testing.T) {
 	if warm.Len() != cached {
 		t.Fatalf("restored head holds %d tokens, want %d", warm.Len(), cached)
 	}
-	warmOut, _, err := warm.(PrefixResumer).ResumePrefill(
+	warmOut, _, err := warm.Prefill(
 		slice(q, cached, total), slice(k, cached, total), slice(v, cached, total))
 	if err != nil {
 		t.Fatal(err)
@@ -150,56 +148,85 @@ func TestPrefixSeedIsolation(t *testing.T) {
 	}
 }
 
-// TestPrefixGates pins the mode boundaries: prefix sharing requires RQE
-// and no eviction; classic heads expose no page machinery; prefix heads
-// refuse the classic single-stream wire export.
+// TestPrefixGates pins the boundaries of the one page format: heads
+// whose cache cannot move (the quantized-tail ablation, eviction) offer
+// no prefix layout and refuse export and restore; every other head
+// exports pages and wire caches alike — including a head that was
+// itself restored from pages and resumed — and a restored head refuses
+// a cache shipped with an RNG draw count.
 func TestPrefixGates(t *testing.T) {
-	bad := prefixCfg(1)
-	bad.RequantizationElimination = false
-	if _, err := NewHACK(bad); err == nil {
-		t.Fatal("prefix sharing without RQE accepted")
-	}
-	bad = prefixCfg(1)
-	bad.EvictBudgetTokens = 64
-	if _, err := NewHACK(bad); err == nil {
-		t.Fatal("prefix sharing with eviction accepted")
-	}
-	bad = prefixCfg(1)
-	bad.Rounding = quant.NearestRounding
-	if _, err := NewHACK(bad); err != nil {
-		t.Fatalf("nearest rounding (draw-free) should be shareable: %v", err)
-	}
-
-	classic, err := NewHACK(DefaultHACKConfig(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := classic.PrefixLayout(); err == nil {
-		t.Fatal("classic backend advertised a prefix layout")
-	}
-	if _, err := classic.RestorePrefixHead(dh, nil, nil); err == nil {
-		t.Fatal("classic backend restored prefix pages")
+	for name, mut := range map[string]func(*HACKConfig){
+		"no RQE":   func(c *HACKConfig) { c.RequantizationElimination = false },
+		"eviction": func(c *HACKConfig) { c.EvictBudgetTokens = 64 },
+	} {
+		cfg := prefixCfg(1)
+		mut(&cfg)
+		b, err := NewHACK(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := b.PrefixLayout(); err == nil {
+			t.Errorf("%s: backend advertised a prefix layout", name)
+		}
+		h, err := b.NewHead(dh)
+		if err != nil {
+			t.Fatal(err)
+		}
+		q, k, v := randQKV(7, 16)
+		if _, _, err := h.Prefill(q, k, v); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := h.(PrefixPageExporter).ExportPrefixPages(0, 8); err == nil {
+			t.Errorf("%s: head exported prefix pages", name)
+		}
+		if _, _, _, _, err := h.(WireExporter).ExportWire(); err == nil {
+			t.Errorf("%s: head exported its wire cache", name)
+		}
 	}
 
 	pb, err := NewHACK(prefixCfg(1))
 	if err != nil {
 		t.Fatal(err)
 	}
+	if pi, _, err := pb.PrefixLayout(); err != nil || pi != 8 {
+		t.Fatalf("PrefixLayout = %d, %v", pi, err)
+	}
 	h, err := pb.NewHead(dh)
 	if err != nil {
 		t.Fatal(err)
 	}
-	q, k, v := randQKV(7, 16)
-	if _, _, err := h.Prefill(q, k, v); err != nil {
+	q, k, v := randQKV(7, 20)
+	if _, _, err := h.Prefill(slice(q, 0, 16), slice(k, 0, 16), slice(v, 0, 16)); err != nil {
 		t.Fatal(err)
-	}
-	if _, _, _, _, err := h.(WireExporter).ExportWire(); err == nil {
-		t.Fatal("prefix head exported a classic single-stream wire cache")
 	}
 	if _, _, err := h.(PrefixPageExporter).ExportPrefixPages(3, 11); err == nil {
 		t.Fatal("misaligned page span exported")
 	}
 	if _, err := pb.RestorePrefixHead(dh, nil, nil); err == nil {
 		t.Fatal("nil pages restored")
+	}
+	pk, pv, err := h.(PrefixPageExporter).ExportPrefixPages(0, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	warm, err := pb.RestorePrefixHead(dh, pk, pv)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := warm.Prefill(slice(q, 16, 20), slice(k, 16, 20), slice(v, 16, 20)); err != nil {
+		t.Fatal(err)
+	}
+	wk, wv, tail, draws, err := warm.(WireExporter).ExportWire()
+	if err != nil {
+		t.Fatalf("prefix-restored, resumed head refused wire export: %v", err)
+	}
+	if draws != 0 || wk.Rows != 20 || wv.Rows != 16 || tail.Rows != 4 {
+		t.Fatalf("wire export: K %d rows, V %d, tail %d, %d draws", wk.Rows, wv.Rows, tail.Rows, draws)
+	}
+	if _, err := pb.RestoreHead(dh, wk, wv, tail, 1); err == nil {
+		t.Fatal("restored a cache shipped with an RNG draw count")
+	}
+	if _, err := pb.RestoreHead(dh, wk, wv, tail, 0); err != nil {
+		t.Fatal(err)
 	}
 }

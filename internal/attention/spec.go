@@ -3,46 +3,37 @@ package attention
 import (
 	"fmt"
 
-	"github.com/hackkv/hack/internal/quant"
 	"github.com/hackkv/hack/internal/tensor"
 )
 
 // This file implements the head-level primitives of speculative
 // decoding: verifying a window of draft tokens in one batched attention
 // call (DecodeBatch), and rolling a rejected suffix back out of the
-// cache and the quantizer streams (Truncate).
+// cache (Truncate).
 //
 // The invariant everything below serves: a batched verify over k rows
 // is token-for-token bit-identical to k sequential Decode calls. That
 // holds because, inside a window clamped by VerifyWindow,
 //
 //   - no V-partition flush occurs, so every row sees the same quantized
-//     VFull span (nFull) a sequential step would have seen, and the V
-//     stream draws nothing;
+//     VFull span (nFull) a sequential step would have seen;
 //   - row i of the k×cache score matrix is the same dot products in the
 //     same order as sequential step i, and the causal mask zeroes row
 //     i's not-yet-appended columns through softmax (exp(-Inf) = 0), so
 //     trailing masked terms cannot perturb any unmasked value;
-//   - counted rounding consumes Q draws row-major (d_h per row) and P
-//     draws row-major (nFull per row) — exactly the positions the
-//     sequential steps would consume, because nFull is constant across
-//     the window.
+//   - every Q and P draw is keyed by the row's absolute position
+//     (quant.StochasticRounding), which is the same in the window as in
+//     the sequential step.
 //
-// Rolling back is then pure arithmetic: dropping the window's last
-// `drop` rows removes drop·d_h draws from the K and Q streams and
-// drop·nFull from the P stream, and the dropped V rows were still FP16
-// tail rows (no flush happened), so the quantized cache is untouched.
+// Rolling back is then dropping the window's rejected rows: they are
+// still FP16 tail rows (no flush happened), the quantized cache is
+// untouched, and the quantizer holds no stream state to rewind.
 
 // BatchVerifier is implemented by heads that can verify a window of
 // draft tokens in one batched attention call and roll a rejected suffix
-// back. The prefix-shareable HACK head is the only implementation: the
-// rollback arithmetic requires the position-pure per-operand streams of
-// the shared-prefix discipline.
+// back. The HACK head implements it; heads whose cache cannot move (the
+// HACK/RQE ablation, KV eviction) offer no window.
 type BatchVerifier interface {
-	// CanBatchVerify reports whether this head actually runs the
-	// prefix-shareable discipline (the same concrete type also serves
-	// classic single-stream heads, which cannot batch-verify).
-	CanBatchVerify() bool
 	// VerifyWindow returns the largest window b <= k whose b appended
 	// rows stay inside the open V partition (no flush, the bit-identity
 	// precondition above), possibly 0 when the partition has no spare
@@ -55,18 +46,14 @@ type BatchVerifier interface {
 	DecodeBatch(q, k, v *tensor.Matrix) (*tensor.Matrix, Stats, error)
 	// Truncate rolls the cache back to n tokens, dropping the most
 	// recently appended rows. The dropped rows must still be FP16 tail
-	// rows and must be the head's most recently attended rows — both
-	// guaranteed when they were appended through a clamped verify
-	// window.
+	// rows — guaranteed when they were appended through a clamped
+	// verify window.
 	Truncate(n int) error
 }
 
-// CanBatchVerify implements BatchVerifier.
-func (h *hackHead) CanBatchVerify() bool { return h.pf != nil }
-
 // VerifyWindow implements BatchVerifier.
 func (h *hackHead) VerifyWindow(k int) int {
-	if h.pf == nil || k < 0 {
+	if k < 0 || h.cfg.transferable() != nil {
 		return 0
 	}
 	if room := h.cfg.Pi - 1 - h.c.TailLen(); k > room {
@@ -75,61 +62,30 @@ func (h *hackHead) VerifyWindow(k int) int {
 	return k
 }
 
-// DecodeBatch implements BatchVerifier.
+// DecodeBatch implements BatchVerifier: the window's rows continue the
+// sequence like a prefill over them.
 func (h *hackHead) DecodeBatch(q, k, v *tensor.Matrix) (*tensor.Matrix, Stats, error) {
-	var st Stats
-	if h.pf == nil {
-		return nil, st, fmt.Errorf("attention: batched verify requires a prefix-shareable head")
+	if err := h.cfg.transferable(); err != nil {
+		return nil, Stats{}, err
 	}
 	b := q.Rows
 	if b < 1 || k.Rows != b || v.Rows != b {
-		return nil, st, fmt.Errorf("attention: verify window with q=%d k=%d v=%d rows", q.Rows, k.Rows, v.Rows)
+		return nil, Stats{}, fmt.Errorf("attention: verify window with q=%d k=%d v=%d rows", q.Rows, k.Rows, v.Rows)
 	}
 	if b > 1 && h.c.TailLen()+b > h.cfg.Pi-1 {
-		return nil, st, fmt.Errorf("attention: verify window %d overflows the open partition (%d/%d tail rows); clamp with VerifyWindow",
+		return nil, Stats{}, fmt.Errorf("attention: verify window %d overflows the open partition (%d/%d tail rows); clamp with VerifyWindow",
 			b, h.c.TailLen(), h.cfg.Pi)
 	}
-	lenBefore := h.c.Len()
-	before := h.c.RequantOps
-	for i := 0; i < b; i++ {
-		if err := h.c.AppendToken(k.Row(i), v.Row(i)); err != nil {
-			return nil, st, err
-		}
-	}
-	st.QuantOps += 2 * 2 * int64(b) * int64(k.Cols)
-	// maskOffset = lenBefore: window row i is global row lenBefore+i,
-	// allowed to attend positions 0..lenBefore+i. For b == 1 the mask
-	// allows every column, so the call degenerates to a plain Decode.
-	out, err := h.attend(q, lenBefore, &st)
-	st.RequantOps += h.c.RequantOps - before
+	out, st, err := h.Prefill(q, k, v)
 	st.KVBytesRead = int64(h.c.Usage().Total())
 	return out, st, err
 }
 
 // Truncate implements BatchVerifier.
 func (h *hackHead) Truncate(n int) error {
-	if h.pf == nil {
-		return fmt.Errorf("attention: truncate on a non-prefix-shareable head")
-	}
 	drop := h.c.Len() - n
 	if drop < 0 {
 		return fmt.Errorf("attention: truncate to %d tokens with only %d cached", n, h.c.Len())
 	}
-	if drop == 0 {
-		return nil
-	}
-	if err := h.c.TruncateTail(drop); err != nil {
-		return err
-	}
-	if h.cfg.rounding() != quant.CountedStochasticRounding {
-		// Nearest rounding draws nothing; there is no stream state to
-		// rewind.
-		return nil
-	}
-	dh := h.c.Config().HeadDim
-	nFull := h.c.VFull.Rows
-	h.pf.rewind(streamOpK, h.pf.kCnt.n-uint64(drop*dh))
-	h.pf.rewind(streamOpQ, h.pf.qCnt.n-uint64(drop*dh))
-	h.pf.rewind(streamOpP, h.pf.pCnt.n-uint64(drop)*uint64(nFull))
-	return nil
+	return h.c.TruncateTail(drop)
 }

@@ -9,10 +9,9 @@
 //     KVFrames — the same codec the simulator prices — over a
 //     length-prefixed, CRC-trailed message stream with a versioned
 //     handshake.
-//   - A DecodeNode reconstructs the cache (quant.FromWire, RNG
-//     fast-forward) and feeds the request into serve's continuous-
-//     batching decode loop via SubmitPrefilled, so remote requests batch
-//     with local ones.
+//   - A DecodeNode reconstructs the cache (quant.FromWire) and feeds
+//     the request into serve's continuous-batching decode loop via
+//     SubmitPrefilled, so remote requests batch with local ones.
 //   - A Router fronts N decode replicas with FlowKV-style load-aware
 //     placement (the same drain/pending-KV signals sim's schedulers
 //     score), tracks replica health via /healthz heartbeats and
@@ -20,10 +19,11 @@
 //     placement, and retries an in-flight KV transfer on replica death
 //     with bounded backoff.
 //
-// Because the prefill side counts its quantizer RNG draws and ships them
-// in v2 frames, a disaggregated deployment streams tokens byte-identical
-// to the single-process runtime for the same (prompt, seed) — stochastic
-// rounding included. That identity is the package's core invariant and
+// Because every quantizer draw is a pure function of (seed, operand,
+// token position), a restored cache continues exactly where the prefill
+// side left it, and a disaggregated deployment streams tokens
+// byte-identical to the single-process runtime for the same (prompt,
+// seed) — stochastic rounding included. That identity is the package's core invariant and
 // is what the loopback integration tests assert.
 package disagg
 

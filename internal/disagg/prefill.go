@@ -285,7 +285,7 @@ func (p *PrefillNode) runJob(conn net.Conn, job PrefillJob) error {
 			if !ok {
 				return fmt.Errorf("disagg: backend %s does not export its cache", backend.Name())
 			}
-			k, v, tail, draws, err := exp.ExportWire()
+			k, v, tail, _, err := exp.ExportWire()
 			if err != nil {
 				return err
 			}
@@ -293,7 +293,6 @@ func (p *PrefillNode) runJob(conn net.Conn, job PrefillJob) error {
 			if err != nil {
 				return err
 			}
-			fr.RNGDraws = draws
 			var buf frameBuffer
 			if _, err := fr.WriteTo(&buf); err != nil {
 				return err

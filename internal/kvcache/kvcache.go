@@ -58,47 +58,33 @@ type Config struct {
 	Pi int
 	// KVBits is the KV code width (2 in the paper's configuration).
 	KVBits int
-	// Rounding and RNG configure the quantizer.
+	// Rounding configures the quantizer. Under stochastic rounding K
+	// and V round under the stream keys Keys.K and Keys.V
+	// (quant.StreamKeys), each token at its absolute position, so a
+	// token's codes depend on its values, its position and the keys —
+	// never on what else the cache holds. RNG, when set, supplies the
+	// keys instead: one seed drawn from it when the cache is built.
 	Rounding quant.Rounding
+	Keys     quant.Keys
 	RNG      *rand.Rand
-	// KRNG and VRNG optionally split the quantizer randomness into
-	// separate per-operand streams (K rows vs V partitions), each
-	// falling back to RNG when nil. Prefix-shareable heads use the
-	// split: under counted rounding each stream's position is then a
-	// pure function of the token position it encodes, independent of
-	// how much of the *other* operand has been quantized — the property
-	// that lets cached pages restore bit-identically mid-stream.
-	KRNG, VRNG *rand.Rand
 	// RQE enables requantization elimination for the trailing V block.
 	// When false the partial block is requantized on every append,
 	// reproducing the HACK/RQE ablation's extra cost and error.
 	RQE bool
 }
 
-func (c Config) kRNG() *rand.Rand {
-	if c.KRNG != nil {
-		return c.KRNG
+// withKeys resolves the stream keys a cache quantizes under.
+func (c Config) withKeys() Config {
+	if c.RNG != nil {
+		c.Keys = quant.StreamKeys(c.RNG.Int63())
 	}
-	return c.RNG
+	return c
 }
 
-func (c Config) vRNG() *rand.Rand {
-	if c.VRNG != nil {
-		return c.VRNG
-	}
-	return c.RNG
-}
-
-func (c Config) quantCfg() quant.Config {
-	return quant.Config{Bits: c.KVBits, Partition: c.Pi, Rounding: c.Rounding, RNG: c.RNG}
-}
-
-func (c Config) kQuantCfg() quant.Config {
-	return quant.Config{Bits: c.KVBits, Partition: c.Pi, Rounding: c.Rounding, RNG: c.kRNG()}
-}
-
-func (c Config) vQuantCfg() quant.Config {
-	return quant.Config{Bits: c.KVBits, Partition: c.Pi, Rounding: c.Rounding, RNG: c.vRNG()}
+// quantCfg is the quantizer configuration for one operand's rows
+// starting at absolute position row0.
+func (c Config) quantCfg(key uint64, row0 int) quant.Config {
+	return quant.Config{Bits: c.KVBits, Partition: c.Pi, Rounding: c.Rounding, Key: key, Row0: row0}
 }
 
 func (c Config) validate() error {
@@ -111,9 +97,8 @@ func (c Config) validate() error {
 	if c.KVBits < 1 || c.KVBits > 8 {
 		return fmt.Errorf("kvcache: kv bits %d", c.KVBits)
 	}
-	stochastic := c.Rounding == quant.StochasticRounding || c.Rounding == quant.CountedStochasticRounding
-	if stochastic && (c.kRNG() == nil || c.vRNG() == nil) {
-		return fmt.Errorf("kvcache: stochastic rounding requires an RNG")
+	if c.Rounding == quant.StochasticRounding && c.RNG == nil && (c.Keys.K == 0 || c.Keys.V == 0) {
+		return fmt.Errorf("kvcache: stochastic rounding requires stream keys or an RNG")
 	}
 	return nil
 }
@@ -141,6 +126,9 @@ type Cache struct {
 	// RequantOps tallies the floating-point work spent requantizing,
 	// charged to the ablation's decode time.
 	RequantOps int64
+	// evicted counts the tokens EvictBlock has dropped; rows after them
+	// keep the positions they were quantized at.
+	evicted int
 
 	// Per-append scratch, reused across tokens so the decode-time cache
 	// ingest allocates only when a buffer grows past its high-water
@@ -163,7 +151,7 @@ func New(cfg Config) (*Cache, error) {
 		return nil, err
 	}
 	c := &Cache{
-		cfg:   cfg,
+		cfg:   cfg.withKeys(),
 		K:     quant.Empty(quant.AlongCols, cfg.HeadDim, cfg.KVBits, cfg.Pi),
 		VFull: quant.Empty(quant.AlongRows, cfg.HeadDim, cfg.KVBits, cfg.Pi),
 	}
@@ -205,7 +193,7 @@ func Restore(cfg Config, k, v *quant.Tensor, tail *tensor.Matrix) (*Cache, error
 	if k.Rows != v.Rows+tail.Rows {
 		return nil, fmt.Errorf("kvcache: restored token counts K %d vs V %d+%d", k.Rows, v.Rows, tail.Rows)
 	}
-	return &Cache{cfg: cfg, K: k, VFull: v, VTail: tail}, nil
+	return &Cache{cfg: cfg.withKeys(), K: k, VFull: v, VTail: tail}, nil
 }
 
 // MustNew is New for configurations known to be valid.
@@ -222,6 +210,11 @@ func (c *Cache) Len() int {
 	n := c.K.Rows
 	return n
 }
+
+// NextPos returns the absolute position the next appended token takes:
+// every token appended so far, evicted ones included, minus truncated
+// ones. It equals Len unless blocks were evicted.
+func (c *Cache) NextPos() int { return c.evicted + c.K.Rows }
 
 // TailLen returns the number of V rows currently outside the quantized
 // cache (in the FP16 buffer under RQE, or in the partial quantized block
@@ -247,7 +240,7 @@ func (c *Cache) AppendPrefill(k, v *tensor.Matrix) error {
 		return fmt.Errorf("kvcache: prefill shapes K %dx%d V %dx%d, head dim %d",
 			k.Rows, k.Cols, v.Rows, v.Cols, c.cfg.HeadDim)
 	}
-	kq, err := quant.Quantize(k, quant.AlongCols, c.cfg.kQuantCfg())
+	kq, err := quant.Quantize(k, quant.AlongCols, c.cfg.quantCfg(c.cfg.Keys.K, c.NextPos()))
 	if err != nil {
 		return err
 	}
@@ -269,7 +262,7 @@ func (c *Cache) AppendToken(kRow, vRow []float32) error {
 		return fmt.Errorf("kvcache: token rows %d/%d, head dim %d", len(kRow), len(vRow), c.cfg.HeadDim)
 	}
 	km := c.rowMatrix(kRow)
-	kq, err := quant.QuantizeInto(c.kRowQ, km, quant.AlongCols, c.cfg.kQuantCfg())
+	kq, err := quant.QuantizeInto(c.kRowQ, km, quant.AlongCols, c.cfg.quantCfg(c.cfg.Keys.K, c.NextPos()))
 	if err != nil {
 		return err
 	}
@@ -290,7 +283,7 @@ func (c *Cache) appendVRow(vRow []float32) error {
 		rounded := c.roundedRow(vRow)
 		c.VTail = tensor.AppendRows(c.VTail, c.rowMatrix(rounded))
 		if c.VTail.Rows == c.cfg.Pi {
-			blk, err := quant.QuantizeInto(c.vBlockQ, c.VTail, quant.AlongRows, c.cfg.vQuantCfg())
+			blk, err := quant.QuantizeInto(c.vBlockQ, c.VTail, quant.AlongRows, c.vBlockCfg())
 			if err != nil {
 				return err
 			}
@@ -317,7 +310,12 @@ func (c *Cache) appendVRow(vRow []float32) error {
 	}
 	rounded := c.roundedRow(vRow)
 	block = tensor.AppendRows(block, c.rowMatrix(rounded))
-	bq, err := quant.Quantize(block, quant.AlongRows, c.cfg.vQuantCfg())
+	// Every pass over the block is a fresh rounding event: keying it by
+	// the block's fill as well as its position keeps one row's repeated
+	// requantizations from reusing one uniform.
+	cfg := c.vBlockCfg()
+	cfg.Key += uint64(block.Rows)
+	bq, err := quant.Quantize(block, quant.AlongRows, cfg)
 	if err != nil {
 		return err
 	}
@@ -331,6 +329,12 @@ func (c *Cache) appendVRow(vRow []float32) error {
 	}
 	c.VTailQ = bq
 	return nil
+}
+
+// vBlockCfg is the quantizer configuration of the open V partition,
+// whose first row sits at the absolute position just past VFull.
+func (c *Cache) vBlockCfg() quant.Config {
+	return c.cfg.quantCfg(c.cfg.Keys.V, c.evicted+c.VFull.Rows)
 }
 
 // TailMatrix returns the trailing V rows as a dense matrix for the FP16
@@ -478,7 +482,7 @@ func NewTokenQuant(cfg Config) (*TokenQuantCache, error) {
 		return nil, err
 	}
 	return &TokenQuantCache{
-		cfg: cfg,
+		cfg: cfg.withKeys(),
 		K:   quant.Empty(quant.AlongCols, cfg.HeadDim, cfg.KVBits, cfg.Pi),
 		V:   quant.Empty(quant.AlongCols, cfg.HeadDim, cfg.KVBits, cfg.Pi),
 	}, nil
@@ -489,12 +493,12 @@ func (c *TokenQuantCache) Append(k, v *tensor.Matrix) error {
 	if k.Rows != v.Rows || k.Cols != c.cfg.HeadDim || v.Cols != c.cfg.HeadDim {
 		return fmt.Errorf("kvcache: quant append shapes K %dx%d V %dx%d", k.Rows, k.Cols, v.Rows, v.Cols)
 	}
-	kq, err := quant.QuantizeInto(c.kq, k, quant.AlongCols, c.cfg.quantCfg())
+	kq, err := quant.QuantizeInto(c.kq, k, quant.AlongCols, c.cfg.quantCfg(c.cfg.Keys.K, c.K.Rows))
 	if err != nil {
 		return err
 	}
 	c.kq = kq
-	vq, err := quant.QuantizeInto(c.vq, v, quant.AlongCols, c.cfg.quantCfg())
+	vq, err := quant.QuantizeInto(c.vq, v, quant.AlongCols, c.cfg.quantCfg(c.cfg.Keys.V, c.V.Rows))
 	if err != nil {
 		return err
 	}
@@ -547,7 +551,11 @@ func (c *Cache) EvictBlock(b int) error {
 	if err := c.VFull.RemoveRowBlock(b); err != nil {
 		return err
 	}
-	return c.K.RemoveRows(lo, hi)
+	if err := c.K.RemoveRows(lo, hi); err != nil {
+		return err
+	}
+	c.evicted += c.cfg.Pi
+	return nil
 }
 
 // TruncateTail removes the n most recently appended tokens — the K rows

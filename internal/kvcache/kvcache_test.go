@@ -1,10 +1,12 @@
 package kvcache
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
 
+	"github.com/hackkv/hack/internal/fp16"
 	"github.com/hackkv/hack/internal/quant"
 	"github.com/hackkv/hack/internal/tensor"
 )
@@ -311,5 +313,46 @@ func BenchmarkAppendToken(b *testing.B) {
 		if err := c.AppendToken(k, v); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// TestAblationRequantizationsDrawFresh checks that the HACK/RQE
+// ablation's repeated requantizations of the open V block round like
+// independent events: its accumulated tail error matches a reference
+// that rounds every pass under a fresh generator draw, within 8% —
+// reusing one uniform per position across passes would compound the
+// rounding error in one direction instead.
+func TestAblationRequantizationsDrawFresh(t *testing.T) {
+	const dh, pi, trials = 64, 64, 20
+	const rows = pi - 1
+	var keyed, fresh float64
+	for seed := int64(0); seed < trials; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		v := tensor.RandNormal(rng, rows, dh, 1)
+		c := MustNew(Config{HeadDim: dh, Pi: pi, KVBits: 2, Rounding: quant.StochasticRounding,
+			Keys: quant.StreamKeys(seed)})
+		for i := 0; i < rows; i++ {
+			if err := c.AppendToken(make([]float32, dh), v.Row(i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		keyed += tensor.RelFrobenius(c.TailMatrix(), v) / trials
+
+		block := tensor.New(0, dh)
+		var bq *quant.Tensor
+		for i := 0; i < rows; i++ {
+			if bq != nil {
+				block = bq.Dequantize()
+			}
+			row := append([]float32(nil), v.Row(i)...)
+			fp16.RoundSlice(row)
+			block = tensor.AppendRows(block, tensor.FromSlice(1, dh, row))
+			bq = quant.MustQuantize(block, quant.AlongRows, quant.Config{Bits: 2, Partition: pi,
+				Rounding: quant.StochasticRounding, RNG: rng})
+		}
+		fresh += tensor.RelFrobenius(bq.Dequantize(), v) / trials
+	}
+	if math.Abs(keyed/fresh-1) > 0.08 {
+		t.Fatalf("ablation tail error %.4f vs fresh-draw reference %.4f: more than 8%% apart", keyed, fresh)
 	}
 }

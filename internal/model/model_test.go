@@ -185,7 +185,7 @@ func TestBackendAccuracyLadder(t *testing.T) {
 		name  string
 		score float64
 	}
-	const prompts = 4
+	const prompts = 16 // enough that one unlucky stochastic stream cannot sink the mean
 	const maxNew = 24
 	scores := map[string]float64{}
 	for p := 0; p < prompts; p++ {

@@ -19,7 +19,6 @@ func TestResumePrefillMatchesColdPrefill(t *testing.T) {
 
 	cfg := attention.DefaultHACKConfig(quantSeed)
 	cfg.Pi = 8
-	cfg.PrefixShareable = true
 	backend, err := attention.NewHACK(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -51,24 +50,7 @@ func TestResumePrefillMatchesColdPrefill(t *testing.T) {
 	if _, err := donor.Prefill(prompt); err != nil {
 		t.Fatal(err)
 	}
-	heads := make([][]attention.Head, spec.Layers)
-	for l := 0; l < spec.Layers; l++ {
-		row := make([]attention.Head, spec.Heads)
-		for h := 0; h < spec.Heads; h++ {
-			k, v, err := donor.Head(l, h).(attention.PrefixPageExporter).ExportPrefixPages(0, cached)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if row[h], err = backend.RestorePrefixHead(spec.HeadDim, k, v); err != nil {
-				t.Fatal(err)
-			}
-		}
-		heads[l] = row
-	}
-	warm, err := m.RestoreSession(backend, heads)
-	if err != nil {
-		t.Fatal(err)
-	}
+	warm := restoreFromPages(t, m, backend, donor, cached)
 	gotLogits, err := warm.ResumePrefillLogits(prompt, cached)
 	if err != nil {
 		t.Fatal(err)
@@ -102,7 +84,6 @@ func TestResumePrefillMatchesColdPrefill(t *testing.T) {
 func TestResumePrefillValidation(t *testing.T) {
 	cfg := attention.DefaultHACKConfig(1)
 	cfg.Pi = 8
-	cfg.PrefixShareable = true
 	backend, err := attention.NewHACK(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -10,10 +10,10 @@ import (
 
 // TestRestoreSessionContinuesBitIdentically is the disaggregated handoff
 // in miniature: prefill a session on the "prefill instance", ship every
-// head's cache through the real KVFrame codec (v2, carrying the RNG draw
-// count), restore a fresh session on the "decode instance", and require
-// the continued greedy decode to match a single-process run token for
-// token — stochastic rounding and all.
+// head's cache through the real KVFrame codec, restore a fresh session
+// on the "decode instance", and require the continued greedy decode to
+// match a single-process run token for token — stochastic rounding and
+// all, with no quantizer state shipped (the draw count is 0).
 func TestRestoreSessionContinuesBitIdentically(t *testing.T) {
 	spec := Toy()
 	const modelSeed, quantSeed = 11, 7
@@ -80,8 +80,8 @@ func TestRestoreSessionContinuesBitIdentically(t *testing.T) {
 			if _, err := recv.ReadFrom(&buf); err != nil {
 				t.Fatal(err)
 			}
-			if recv.RNGDraws != draws {
-				t.Fatalf("draw count lost in transit: %d vs %d", recv.RNGDraws, draws)
+			if draws != 0 || recv.RNGDraws != 0 {
+				t.Fatalf("RNG draw count %d shipped as %d, want 0", draws, recv.RNGDraws)
 			}
 
 			rk, rv, rtail, err := recv.Tensors()
@@ -126,7 +126,8 @@ func TestRestoreSessionContinuesBitIdentically(t *testing.T) {
 }
 
 // TestRestoreRejectsBadShapes covers the refusal paths: mismatched
-// layer/head grids and non-RQE exports.
+// layer/head grids, non-RQE exports, and caches shipped with an RNG
+// draw count (a sequential-stream encoder's frames).
 func TestRestoreRejectsBadShapes(t *testing.T) {
 	spec := Toy()
 	m, err := NewTransformer(spec, 1)
@@ -159,5 +160,20 @@ func TestRestoreRejectsBadShapes(t *testing.T) {
 	}
 	if _, err := noRQE.RestoreHead(spec.HeadDim, nil, nil, nil, 0); err == nil {
 		t.Fatal("restored under the quantized-tail ablation")
+	}
+
+	src, err := m.NewSession(backend)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := src.Prefill([]int{3, 1, 4, 1, 5}); err != nil {
+		t.Fatal(err)
+	}
+	k, v, tail, _, err := src.Head(0, 0).(attention.WireExporter).ExportWire()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := backend.RestoreHead(spec.HeadDim, k, v, tail, 17); err == nil {
+		t.Fatal("restored a cache shipped with an RNG draw count")
 	}
 }

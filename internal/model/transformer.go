@@ -151,10 +151,6 @@ type pass int
 const (
 	passPrefill pass = iota
 	passDecode
-	// passResume continues a prefill over restored prefix pages: x holds
-	// only the prompt suffix's hidden states, and each head must
-	// implement attention.PrefixResumer.
-	passResume
 	// passVerify batch-verifies a speculative window: x holds the
 	// window's hidden states, and each head must implement
 	// attention.BatchVerifier.
@@ -193,12 +189,6 @@ func (s *Session) forward(x *tensor.Matrix, p pass) (*tensor.Matrix, error) {
 			switch p {
 			case passPrefill:
 				oh, st, err = s.heads[l][h].Prefill(qh, kh, vh)
-			case passResume:
-				r, ok := s.heads[l][h].(attention.PrefixResumer)
-				if !ok {
-					return nil, fmt.Errorf("layer %d head %d: backend cannot resume a prefill", l, h)
-				}
-				oh, st, err = r.ResumePrefill(qh, kh, vh)
 			case passVerify:
 				bv, ok := s.heads[l][h].(attention.BatchVerifier)
 				if !ok {
@@ -245,6 +235,12 @@ func (s *Session) PrefillLogits(prompt []int) ([]float32, error) {
 	if len(prompt) == 0 {
 		return nil, fmt.Errorf("model: empty prompt")
 	}
+	return s.prefillLogits(prompt)
+}
+
+// prefillLogits runs the prefill pass over tokens, the rows that follow
+// whatever the session's heads already hold.
+func (s *Session) prefillLogits(prompt []int) ([]float32, error) {
 	x := tensor.New(len(prompt), s.m.spec.Hidden)
 	for i, tok := range prompt {
 		if tok < 0 || tok >= s.m.spec.Vocab {
@@ -264,25 +260,14 @@ func (s *Session) PrefillLogits(prompt []int) ([]float32, error) {
 // prefix warm path): only prompt[cached:] is embedded and forwarded,
 // and the returned next-token logits are bit-identical to a cold
 // PrefillLogits over the whole prompt for the same backend seed.
-// Requires 0 < cached < len(prompt) and heads that implement
-// attention.PrefixResumer.
+// Requires 0 < cached < len(prompt) and a session holding exactly the
+// cached tokens (one built by RestoreSession over restored heads).
 func (s *Session) ResumePrefillLogits(prompt []int, cached int) ([]float32, error) {
-	if cached <= 0 || cached >= len(prompt) {
-		return nil, fmt.Errorf("model: resume with %d cached of %d prompt tokens", cached, len(prompt))
+	if cached <= 0 || cached >= len(prompt) || s.Len() != cached {
+		return nil, fmt.Errorf("model: resume with %d cached of %d prompt tokens over a session holding %d",
+			cached, len(prompt), s.Len())
 	}
-	suffix := prompt[cached:]
-	x := tensor.New(len(suffix), s.m.spec.Hidden)
-	for i, tok := range suffix {
-		if tok < 0 || tok >= s.m.spec.Vocab {
-			return nil, fmt.Errorf("model: token %d out of vocab %d", tok, s.m.spec.Vocab)
-		}
-		copy(x.Row(i), s.m.Embed.Row(tok))
-	}
-	out, err := s.forward(x, passResume)
-	if err != nil {
-		return nil, err
-	}
-	return s.logits(out), nil
+	return s.prefillLogits(prompt[cached:])
 }
 
 // ResumePrefill continues a prefill over restored prefix pages (see

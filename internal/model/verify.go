@@ -17,12 +17,12 @@ import (
 // how many rows share the matrix).
 
 // SupportsVerify reports whether the session's attention heads
-// implement the batched-verify/rollback contract (the prefix-shareable
-// HACK discipline). Callers use it to fall back to plain decoding
-// rather than fail a request.
+// implement the batched-verify/rollback contract (the HACK heads).
+// Callers use it to fall back to plain decoding rather than fail a
+// request.
 func (s *Session) SupportsVerify() bool {
-	bv, ok := s.heads[0][0].(attention.BatchVerifier)
-	return ok && bv.CanBatchVerify()
+	_, ok := s.heads[0][0].(attention.BatchVerifier)
+	return ok
 }
 
 // Len returns the cached token count. Every head advances in lockstep,
@@ -88,9 +88,8 @@ func (s *Session) DecodeBatch(toks []int) ([]int, error) {
 
 // Truncate rolls every head's cache back to n tokens, discarding the
 // most recently appended rows — the rejected suffix of a verify window.
-// After it returns, the session's state (cache contents and quantizer
-// stream positions) is bit-identical to one that never saw the dropped
-// tokens.
+// After it returns, the session's state is bit-identical to one that
+// never saw the dropped tokens.
 func (s *Session) Truncate(n int) error {
 	for l, row := range s.heads {
 		for h, head := range row {

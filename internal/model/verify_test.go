@@ -7,13 +7,12 @@ import (
 	"github.com/hackkv/hack/internal/quant"
 )
 
-// prefixBackend builds the prefix-shareable HACK backend the verify
-// tests run on (counted stochastic rounding unless nearest is asked).
+// prefixBackend builds the HACK backend the verify tests run on
+// (stochastic rounding unless nearest is asked).
 func prefixBackend(t *testing.T, seed int64, pi int, nearest bool) attention.Backend {
 	t.Helper()
 	cfg := attention.DefaultHACKConfig(seed)
 	cfg.Pi = pi
-	cfg.PrefixShareable = true
 	if nearest {
 		cfg.Rounding = quant.NearestRounding
 	}
@@ -129,8 +128,8 @@ func TestDecodeBatchMatchesSequential(t *testing.T) {
 
 // TestTruncateLeavesNoResidue forces rejected windows — garbage drafts
 // that never match — and asserts the rolled-back session continues
-// bit-identically to plain decoding: no KV rows and no RNG draws from
-// the rejected suffix survive.
+// bit-identically to plain decoding: no KV rows from the rejected
+// suffix survive.
 func TestTruncateLeavesNoResidue(t *testing.T) {
 	prompt := []int{3, 1, 4, 1, 5, 9, 2, 6}
 	const n = 40
@@ -235,14 +234,25 @@ func TestVerifyWindowClamp(t *testing.T) {
 	}
 }
 
-// TestDecodeBatchRejectsNonPrefixHeads pins the capability gate for
-// classic (non-prefix-shareable) backends.
+// TestDecodeBatchRejectsNonPrefixHeads pins the capability gate: heads
+// that cannot hand their cache over — backends without the page format,
+// and HACK heads under the quantized-tail ablation — offer no verify
+// window, so speculation decodes them plainly.
 func TestDecodeBatchRejectsNonPrefixHeads(t *testing.T) {
 	m, err := NewTransformer(Toy(), 7)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := attention.NewHACK(attention.DefaultHACKConfig(3))
+	fp16, err := m.NewSession(attention.FP16Backend{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fp16.SupportsVerify() {
+		t.Fatal("FP16 head claims batch-verify support")
+	}
+	cfg := attention.DefaultHACKConfig(3)
+	cfg.RequantizationElimination = false
+	b, err := attention.NewHACK(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,10 +260,13 @@ func TestDecodeBatchRejectsNonPrefixHeads(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sess.SupportsVerify() {
-		t.Fatal("classic HACK head claims batch-verify support")
+	if _, err := sess.Prefill([]int{1, 2, 3}); err != nil {
+		t.Fatal(err)
 	}
 	if got := sess.VerifyWindow(4); got != 0 {
-		t.Fatalf("VerifyWindow on classic head = %d, want 0", got)
+		t.Fatalf("VerifyWindow on a quantized-tail ablation head = %d, want 0", got)
+	}
+	if _, err := sess.DecodeBatch([]int{4, 5}); err == nil {
+		t.Fatal("quantized-tail ablation head batch-verified a window")
 	}
 }

@@ -20,8 +20,11 @@ import (
 // quantized-cache framing that the simulator priced is exactly what
 // crosses the real TCP link.
 
-// WireVersion is the handshake protocol version.
-const WireVersion = 1
+// WireVersion is the handshake protocol version. Version 2 ships caches
+// quantized under position-keyed rounding, which version-1 nodes would
+// decode into silently different streams, so the handshake refuses a
+// peer of any other version.
+const WireVersion = 2
 
 // wireMagic guards the handshake so a stray client speaking another
 // protocol is rejected on the first message.
@@ -247,11 +250,16 @@ func Handshake(rw io.ReadWriter, self Hello) (Hello, error) {
 	if t != MsgHelloAck {
 		return Hello{}, fmt.Errorf("netsim: handshake got %v, want %v", t, MsgHelloAck)
 	}
-	return ParseHello(ack)
+	peer, err := ParseHello(ack)
+	if err != nil {
+		return Hello{}, fmt.Errorf("%w: %v", ErrHandshakeRefused, err)
+	}
+	return peer, nil
 }
 
 // AcceptHandshake runs the responder side: await MsgHello, validate it
-// (and the optional check), and reply MsgHelloAck with self.
+// (version and magic, then the optional check), and reply MsgHelloAck
+// with self — or MsgHelloErr with the reason.
 func AcceptHandshake(rw io.ReadWriter, self Hello, check func(Hello) error) (Hello, error) {
 	t, payload, err := ReadMessage(rw)
 	if err != nil {
@@ -261,16 +269,14 @@ func AcceptHandshake(rw io.ReadWriter, self Hello, check func(Hello) error) (Hel
 		return Hello{}, fmt.Errorf("netsim: handshake got %v, want %v", t, MsgHello)
 	}
 	peer, err := ParseHello(payload)
-	if err != nil {
-		return Hello{}, err
+	if err == nil && check != nil {
+		err = check(peer)
 	}
-	if check != nil {
-		if err := check(peer); err != nil {
-			// Tell the initiator it was refused (vs a dead peer) so it
-			// doesn't redial; best-effort, the check error is what matters.
-			_ = WriteMessage(rw, MsgHelloErr, []byte(err.Error()))
-			return Hello{}, err
-		}
+	if err != nil {
+		// Tell the initiator it was refused (vs a dead peer) so it
+		// doesn't redial; best-effort, the error is what matters.
+		_ = WriteMessage(rw, MsgHelloErr, []byte(err.Error()))
+		return Hello{}, err
 	}
 	ack, err := json.Marshal(self.seal())
 	if err != nil {

@@ -178,6 +178,50 @@ func TestParseHelloRejectsBadVersionAndMagic(t *testing.T) {
 	}
 }
 
+// TestHandshakeRefusesOtherWireVersion pins the mixed-fleet guard: a
+// peer speaking another wire version (a node that ships caches under a
+// different rounding layout) is refused at the handshake in both
+// directions, surfacing ErrHandshakeRefused rather than a silently
+// divergent stream.
+func TestHandshakeRefusesOtherWireVersion(t *testing.T) {
+	oldHello := []byte(`{"magic":1212236619,"version":1,"role":"router","method":"HACK"}`)
+
+	// An old initiator meets a current responder: the responder refuses,
+	// and says so on the wire.
+	client, server := net.Pipe()
+	defer client.Close()
+	defer server.Close()
+	accepted := make(chan error, 1)
+	go func() {
+		_, err := AcceptHandshake(server, Hello{Role: "decode", Method: "HACK"}, nil)
+		accepted <- err
+	}()
+	if err := WriteMessage(client, MsgHello, oldHello); err != nil {
+		t.Fatal(err)
+	}
+	typ, reason, err := ReadMessage(client)
+	if err != nil || typ != MsgHelloErr || !strings.Contains(string(reason), "version") {
+		t.Fatalf("old initiator got %v %q (%v), want a version refusal", typ, reason, err)
+	}
+	if err := <-accepted; err == nil {
+		t.Fatal("responder accepted a version-1 peer")
+	}
+
+	// A current initiator meets an old responder that acks with its own
+	// version: the initiator reports a refusal.
+	client2, server2 := net.Pipe()
+	defer client2.Close()
+	defer server2.Close()
+	go func() {
+		if _, _, err := ReadMessage(server2); err == nil {
+			_ = WriteMessage(server2, MsgHelloAck, oldHello)
+		}
+	}()
+	if _, err := Handshake(client2, Hello{Role: "router", Method: "HACK"}); !errors.Is(err, ErrHandshakeRefused) {
+		t.Fatalf("version-1 responder: %v, want ErrHandshakeRefused", err)
+	}
+}
+
 // TestFrameVersionCompat covers the v1↔v2 frame codec split: default
 // frames encode as v2 carrying RNGDraws; explicit v1 frames encode the
 // legacy layout and decode with RNGDraws 0; RNGDraws on a v1 frame is a

@@ -7,83 +7,6 @@ import (
 	"github.com/hackkv/hack/internal/tensor"
 )
 
-// skip advances rng by exactly n Int63 draws, mirroring how the
-// prefix-sharing attention layer fast-forwards an operand stream.
-func skip(rng *rand.Rand, n int) {
-	for i := 0; i < n; i++ {
-		rng.Int63()
-	}
-}
-
-// TestCountedRoundingPositionStable pins the property the shared-prefix
-// tier is built on: under CountedStochasticRounding every element
-// consumes exactly one RNG draw, so quantizing only a row suffix with a
-// fast-forwarded stream reproduces the full quantization's codes for
-// those rows — draw positions depend on element position, not on how
-// much data precedes the call.
-func TestCountedRoundingPositionStable(t *testing.T) {
-	const rows, cols, pi, lo = 12, 16, 8, 5
-	m := tensor.RandNormal(rand.New(rand.NewSource(1)), rows, cols, 1)
-
-	cfg := Config{Bits: 2, Partition: pi, Rounding: CountedStochasticRounding,
-		RNG: rand.New(rand.NewSource(42))}
-	full, err := Quantize(m, AlongCols, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	suffix := tensor.New(rows-lo, cols)
-	for i := 0; i < rows-lo; i++ {
-		copy(suffix.Row(i), m.Row(lo+i))
-	}
-	rng := rand.New(rand.NewSource(42))
-	skip(rng, lo*cols) // one draw per element in rows [0, lo)
-	cfg.RNG = rng
-	part, err := Quantize(suffix, AlongCols, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < part.Rows*cols; i++ {
-		if part.Codes[i] != full.Codes[lo*cols+i] {
-			t.Fatalf("code %d: suffix quantization %d, full %d", i, part.Codes[i], full.Codes[lo*cols+i])
-		}
-	}
-}
-
-// TestCountedRoundingDegenerateConsumesDraws checks that degenerate
-// partitions (zero scale: all values equal) still consume one draw per
-// element, keeping later draw positions aligned. Classic stochastic
-// rounding skips those draws, which is exactly why it cannot share
-// pages.
-func TestCountedRoundingDegenerateConsumesDraws(t *testing.T) {
-	const cols, pi = 8, 8
-	a := tensor.New(2, cols) // row 0 constant (degenerate), row 1 varied
-	b := tensor.New(2, cols) // row 0 varied, row 1 identical to a's
-	for j := 0; j < cols; j++ {
-		a.Row(0)[j] = 3
-		b.Row(0)[j] = float32(j)
-		v := float32(j)*0.25 - 1
-		a.Row(1)[j] = v
-		b.Row(1)[j] = v
-	}
-	enc := func(m *tensor.Matrix) *Tensor {
-		t.Helper()
-		q, err := Quantize(m, AlongCols, Config{Bits: 2, Partition: pi,
-			Rounding: CountedStochasticRounding, RNG: rand.New(rand.NewSource(7))})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return q
-	}
-	qa, qb := enc(a), enc(b)
-	for j := 0; j < cols; j++ {
-		if qa.Codes[cols+j] != qb.Codes[cols+j] {
-			t.Fatalf("row 1 code %d diverged (%d vs %d): degenerate row 0 consumed a different draw count",
-				j, qa.Codes[cols+j], qb.Codes[cols+j])
-		}
-	}
-}
-
 // TestSliceRowsRoundTrip checks that slicing and re-appending aligned
 // row spans reconstructs the original tensor exactly, for both the K
 // layout (along columns) and the V layout (along rows).

@@ -50,25 +50,19 @@ func (a Axis) String() string {
 type Rounding int
 
 const (
-	// StochasticRounding rounds x down with probability ⌈x⌉−x and up
-	// otherwise, making the quantization error zero-mean (§5.2).
+	// StochasticRounding rounds a fractional code q up with probability
+	// q−⌊q⌋ and down otherwise, making the quantization error zero-mean
+	// (§5.2). The uniform that decides element (r, c) is
+	// Uniform(Key, Row0+r, c): a pure function of the element's absolute
+	// position, not of the matrix's shape, of what was quantized before
+	// it, or of which node quantizes it. A token's codes are therefore
+	// the same whether its prompt is prefilled cold, resumed over cached
+	// prefix pages, verified in a speculative window, or shipped to
+	// another node.
 	StochasticRounding Rounding = iota
 	// NearestRounding rounds to the nearest integer; deterministic,
 	// used by tests and by the KVQuant-style baseline.
 	NearestRounding
-	// CountedStochasticRounding is stochastic rounding under a fixed
-	// draw discipline: encoding consumes exactly one RNG draw per
-	// element, unconditionally — including elements of degenerate
-	// (zero-scale) blocks and elements whose fractional part is zero,
-	// both of which plain StochasticRounding skips. The stream position
-	// after encoding n elements is therefore always exactly n, making
-	// the quantizer's randomness a pure function of element position.
-	// This is the discipline behind shared-prefix KV reuse: a Π-aligned
-	// page quantized while serving one request is bit-identical to the
-	// same tokens quantized under any other request with the same
-	// stream, because both draw the same uniforms at the same
-	// positions.
-	CountedStochasticRounding
 )
 
 // Config parameterizes a quantization pass.
@@ -81,7 +75,14 @@ type Config struct {
 	Partition int
 	// Rounding mode; stochastic by default.
 	Rounding Rounding
-	// RNG drives stochastic rounding. May be nil for NearestRounding.
+	// Key selects the stochastic-rounding stream (StreamKeys derives one
+	// per operand from a request seed; 0 means unset) and Row0 is the
+	// absolute position of the matrix's first row, so row r of this
+	// pass rounds as position Row0+r.
+	Key  uint64
+	Row0 int
+	// RNG, when set, replaces Key with a fresh draw for every pass — for
+	// callers that hold a generator rather than a position-keyed stream.
 	RNG *rand.Rand
 }
 
@@ -92,10 +93,49 @@ func (c Config) validate() error {
 	if c.Partition <= 0 {
 		return fmt.Errorf("quant: partition size %d must be positive", c.Partition)
 	}
-	if (c.Rounding == StochasticRounding || c.Rounding == CountedStochasticRounding) && c.RNG == nil {
-		return fmt.Errorf("quant: stochastic rounding requires an RNG")
+	switch c.Rounding {
+	case NearestRounding:
+	case StochasticRounding:
+		if c.Key == 0 && c.RNG == nil {
+			return fmt.Errorf("quant: stochastic rounding requires a stream key or an RNG")
+		}
+	default:
+		return fmt.Errorf("quant: unknown rounding mode %d", c.Rounding)
 	}
 	return nil
+}
+
+// Keys holds the stochastic-rounding stream keys of the four operands
+// HACK attention quantizes: K and V in the cache, Q and P in the
+// attention kernels.
+type Keys struct{ K, V, Q, P uint64 }
+
+// StreamKeys derives the per-operand stream keys of a request seed.
+// Changing the derivation (or Uniform) changes every quantized code, so
+// every cached page and every shipped frame with it.
+func StreamKeys(seed int64) Keys {
+	key := func(op uint64) uint64 {
+		if k := splitmix64(uint64(seed) + 0x9e3779b97f4a7c15*op); k != 0 {
+			return k
+		}
+		return 1 // 0 means unset
+	}
+	return Keys{K: key(1), V: key(2), Q: key(3), P: key(4)}
+}
+
+// Uniform returns the rounding uniform on [0, 1) of element (row, col)
+// under stream key: the splitmix64 finalizer over the element's
+// position row<<32 | col, counted from the key.
+func Uniform(key uint64, row, col int) float64 {
+	pos := uint64(row)<<32 | uint64(uint32(col))
+	return float64(splitmix64(key+0x9e3779b97f4a7c15*(pos+1))>>11) / (1 << 53)
+}
+
+// splitmix64 is the splitmix64 output finalizer.
+func splitmix64(z uint64) uint64 {
+	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
+	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
+	return z ^ (z >> 31)
 }
 
 // Levels returns the number of representable code values, 2^bits.
@@ -199,9 +239,18 @@ func QuantizeInto(t *Tensor, m *tensor.Matrix, axis Axis, cfg Config) (*Tensor, 
 	t.Min = tensor.Grow(t.Min, nvec*nblocks)
 	t.Scale = tensor.Grow(t.Scale, nvec*nblocks)
 	t.Sums = tensor.Grow(t.Sums, nvec*nblocks)
+	r := rounder{
+		stochastic: cfg.Rounding == StochasticRounding,
+		key:        cfg.Key,
+		row0:       cfg.Row0,
+		maxCode:    float64(int(1)<<cfg.Bits - 1),
+	}
+	if cfg.RNG != nil {
+		r.key = cfg.RNG.Uint64()
+	}
 	for v := 0; v < nvec; v++ {
 		for b := 0; b < nblocks; b++ {
-			quantizeBlock(t, m, v, b, cfg)
+			quantizeBlock(t, m, v, b, &r)
 		}
 	}
 	return t, nil
@@ -221,7 +270,7 @@ func MustQuantize(m *tensor.Matrix, axis Axis, cfg Config) *Tensor {
 // is a pair of direct loops per axis (no per-element closures): one
 // min/max sweep to fix the block's (m, s), then one encode sweep that
 // writes the codes and accumulates the SE code sum as it goes.
-func quantizeBlock(t *Tensor, m *tensor.Matrix, v, b int, cfg Config) {
+func quantizeBlock(t *Tensor, m *tensor.Matrix, v, b int, r *rounder) {
 	lo, hi := t.BlockRange(b)
 	minV := float32(math.Inf(1))
 	maxV := float32(math.Inf(-1))
@@ -245,29 +294,26 @@ func quantizeBlock(t *Tensor, m *tensor.Matrix, v, b int, cfg Config) {
 			}
 		}
 	}
-	levels := float32(int32(1)<<cfg.Bits) - 1
-	scale := (maxV - minV) / levels
 	// The paper stores m and s in FP16 (§6); round them the same way so
 	// that prefill and decode instances agree bit-for-bit.
+	scale := fp16.Round((maxV - minV) / float32(r.maxCode))
 	minV = fp16.Round(minV)
-	scale = fp16.Round(scale)
 	mi := t.metaIndex(v, b)
 	t.Min[mi] = minV
 	t.Scale[mi] = scale
 
 	var sum int32
-	maxCode := float64(levels)
 	if t.Axis == AlongCols {
 		base := v * t.Cols
 		row := m.Row(v)
 		for j := lo; j < hi; j++ {
-			code := encodeValue(row[j], minV, scale, maxCode, cfg)
+			code := r.code(row[j], minV, scale, v, j)
 			t.Codes[base+j] = code
 			sum += int32(code)
 		}
 	} else {
 		for i := lo; i < hi; i++ {
-			code := encodeValue(m.Data[i*t.Cols+v], minV, scale, maxCode, cfg)
+			code := r.code(m.Data[i*t.Cols+v], minV, scale, i, v)
 			t.Codes[i*t.Cols+v] = code
 			sum += int32(code)
 		}
@@ -275,35 +321,19 @@ func quantizeBlock(t *Tensor, m *tensor.Matrix, v, b int, cfg Config) {
 	t.Sums[mi] = sum
 }
 
-// encodeValue maps one value onto the block's code grid.
-func encodeValue(x, minV, scale float32, maxCode float64, cfg Config) uint8 {
-	if cfg.Rounding == CountedStochasticRounding {
-		// Exactly one source advance per element, drawn before any early
-		// return so the stream position stays a pure function of element
-		// count. Int63 rather than Float64: Float64's rare resample loop
-		// can consume a second draw, which would break the accounting.
-		u := float64(cfg.RNG.Int63()) / (1 << 63)
-		if !(scale > 0) { // degenerate or non-finite block → code 0
-			return 0
-		}
-		q := float64(x-minV) / float64(scale)
-		if q < 0 {
-			q = 0
-		}
-		if q > maxCode {
-			q = maxCode
-		}
-		fl := math.Floor(q)
-		// Round up with probability q−⌊q⌋ (u is uniform on [0,1)), the
-		// same zero-mean error law as StochasticRounding.
-		if u < q-fl {
-			fl++
-		}
-		if fl > maxCode {
-			fl = maxCode
-		}
-		return uint8(fl)
-	}
+// rounder is one quantization pass's rounding state.
+type rounder struct {
+	stochastic bool
+	key        uint64
+	row0       int
+	maxCode    float64
+}
+
+// code maps element (row, col) of the pass, value x, onto its block's
+// code grid. Stochastic rounding looks up the element's uniform only
+// when its code is fractional, so degenerate blocks (and the exact
+// zeros of masked attention scores) cost no hashing.
+func (r *rounder) code(x, minV, scale float32, row, col int) uint8 {
 	if !(scale > 0) { // degenerate or non-finite block → code 0
 		return 0
 	}
@@ -311,35 +341,17 @@ func encodeValue(x, minV, scale float32, maxCode float64, cfg Config) uint8 {
 	if q < 0 {
 		q = 0
 	}
-	if q > maxCode {
-		q = maxCode
+	if q > r.maxCode {
+		q = r.maxCode
 	}
-	return roundCode(q, cfg)
-}
-
-// roundCode resolves the fractional code q per the rounding mode, then
-// clamps to the code range.
-func roundCode(q float64, cfg Config) uint8 {
-	var r float64
-	switch cfg.Rounding {
-	case NearestRounding:
-		r = math.Round(q)
-	default:
-		fl := math.Floor(q)
-		frac := q - fl
-		if frac > 0 && cfg.RNG.Float64() < frac {
-			fl++
-		}
-		r = fl
+	if !r.stochastic {
+		return uint8(math.Round(q))
 	}
-	max := float64(int(1)<<cfg.Bits - 1)
-	if r < 0 {
-		r = 0
+	c := math.Floor(q)
+	if f := q - c; f > 0 && Uniform(r.key, r.row0+row, col) < f {
+		c++
 	}
-	if r > max {
-		r = max
-	}
-	return uint8(r)
+	return uint8(c)
 }
 
 // Dequantize reconstructs the matrix as s·code + m per element. This is

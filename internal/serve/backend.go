@@ -59,12 +59,12 @@ func BackendForMethod(m cluster.Method, kernelPar int) BackendFactory {
 	}
 }
 
-// PrefixBackendForMethod maps a serving-method profile to a factory of
-// prefix-shareable backends — the attention configuration the shared-
-// prefix KV tier requires. Only homomorphic profiles qualify: page
-// export restores quantized partitions directly, which the dequantize-
-// before-compute and FP16 backends cannot express, and the profile must
-// run requantization elimination (pages hold complete partitions only).
+// PrefixBackendForMethod is BackendForMethod for a deployment with the
+// shared-prefix KV tier, rejecting profiles whose caches cannot be
+// paged: page export restores quantized partitions directly, which the
+// dequantize-before-compute and FP16 backends cannot express, and the
+// profile must run requantization elimination (pages hold complete
+// partitions only).
 func PrefixBackendForMethod(m cluster.Method, kernelPar int) (BackendFactory, error) {
 	if !m.Homomorphic {
 		return nil, fmt.Errorf("serve: prefix caching requires a homomorphic method, not %q", m.Name)
@@ -72,15 +72,5 @@ func PrefixBackendForMethod(m cluster.Method, kernelPar int) (BackendFactory, er
 	if !m.RQE {
 		return nil, fmt.Errorf("serve: prefix caching requires requantization elimination, which %q disables", m.Name)
 	}
-	return func(seed int64) (attention.Backend, error) {
-		cfg := attention.DefaultHACKConfig(seed)
-		if m.Pi > 0 {
-			cfg.Pi = m.Pi
-		}
-		cfg.SummationElimination = m.SE
-		cfg.RequantizationElimination = true
-		cfg.Parallelism = kernelPar
-		cfg.PrefixShareable = true
-		return attention.NewHACK(cfg)
-	}, nil
+	return BackendForMethod(m, kernelPar), nil
 }

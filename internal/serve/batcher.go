@@ -76,7 +76,7 @@ func (s *Server) runBatcher() {
 }
 
 // stepBatch advances every request one decode step. Each session owns
-// its KV caches and quantizer RNGs, so steps are independent and the
+// its KV caches and quantizer keys, so steps are independent and the
 // fan-out is free of cross-request effects.
 func (s *Server) stepBatch(batch []*active) {
 	workers := s.cfg.DecodeParallelism

@@ -17,9 +17,9 @@ import (
 // KV pages a previous request already produced, skipping prefill over
 // the matched span. The index side lives in kvcache.PrefixIndex (a trie
 // over Π-aligned blocks with ref-counted LRU eviction under a byte
-// budget); the numeric side in attention's prefix-shareable heads,
-// whose counted per-operand quantizer streams make a restored page
-// bit-identical to the cold path for the same (prompt, seed).
+// budget); the numeric side in attention's HACK heads, whose
+// position-keyed rounding makes a restored page bit-identical to the
+// cold path for the same (prompt, seed), whatever prompt produced it.
 //
 // Pages cross the tier boundary as netsim KV frames — the same framing
 // the disaggregated wire uses — so the in-process backend and the
@@ -180,7 +180,7 @@ type prefixTier struct {
 
 // newPrefixTier validates the serving configuration's prefix-cache
 // settings against the attention backend and builds the tier. The
-// backend factory must produce prefix-shareable backends
+// backend factory must produce backends that export pages
 // (attention.PrefixBackend); the page granularity must be a positive
 // multiple of the backend's partition Π.
 func newPrefixTier(cfg Config) (*prefixTier, error) {
@@ -190,7 +190,7 @@ func newPrefixTier(cfg Config) (*prefixTier, error) {
 	}
 	pb, ok := probe.(attention.PrefixBackend)
 	if !ok {
-		return nil, fmt.Errorf("serve: prefix cache requires a prefix-shareable attention backend; %s exports no pages", probe.Name())
+		return nil, fmt.Errorf("serve: prefix cache requires an attention backend that exports pages; %s does not", probe.Name())
 	}
 	pi, kvBits, err := pb.PrefixLayout()
 	if err != nil {
@@ -281,7 +281,7 @@ func (s *Server) tryPrefixPrefill(a *active, backend attention.Backend) (int, bo
 // restorePrefixSession rebuilds a session whose first match.Tokens
 // prompt positions are already quantized: each block's frames are
 // decoded and concatenated per (layer, head), then restored into
-// prefix-shareable attention heads.
+// attention heads.
 func (s *Server) restorePrefixSession(backend attention.Backend, match *PrefixMatch) (*model.Session, error) {
 	pb, ok := backend.(attention.PrefixBackend)
 	if !ok {

@@ -14,12 +14,11 @@ import (
 	"github.com/hackkv/hack/internal/netsim"
 )
 
-// prefixTestBackend builds prefix-shareable HACK backends with a small
-// Π so short prompts span several cache blocks.
+// prefixTestBackend builds HACK backends with a small Π so short
+// prompts span several cache blocks.
 func prefixTestBackend(seed int64) (attention.Backend, error) {
 	cfg := attention.DefaultHACKConfig(seed)
 	cfg.Pi = 8
-	cfg.PrefixShareable = true
 	return attention.NewHACK(cfg)
 }
 
@@ -172,7 +171,8 @@ func TestPrefixCacheEvictionUnderPressure(t *testing.T) {
 
 // TestPrefixCacheConfigValidation pins tier construction errors: page
 // granularity off the partition grid surfaces the typed alignment
-// error, and a non-shareable backend is rejected outright.
+// error, and backends that cannot page their cache are rejected
+// outright.
 func TestPrefixCacheConfigValidation(t *testing.T) {
 	cfg := prefixServerConfig(1 << 20)
 	cfg.PrefixCachePageTokens = 12 // not a multiple of Π=8
@@ -182,12 +182,19 @@ func TestPrefixCacheConfigValidation(t *testing.T) {
 		t.Fatalf("misaligned page tokens: %v", err)
 	}
 
-	cfg = prefixServerConfig(1 << 20)
-	cfg.Backend = func(seed int64) (attention.Backend, error) {
-		return attention.NewHACK(attention.DefaultHACKConfig(seed)) // classic
-	}
-	if _, err := New(cfg); err == nil || !strings.Contains(err.Error(), "prefix") {
-		t.Fatalf("classic backend accepted for prefix tier: %v", err)
+	for name, backend := range map[string]BackendFactory{
+		"fp16": func(int64) (attention.Backend, error) { return attention.FP16Backend{}, nil },
+		"no-RQE": func(seed int64) (attention.Backend, error) {
+			c := attention.DefaultHACKConfig(seed)
+			c.RequantizationElimination = false
+			return attention.NewHACK(c)
+		},
+	} {
+		cfg = prefixServerConfig(1 << 20)
+		cfg.Backend = backend
+		if _, err := New(cfg); err == nil || !strings.Contains(err.Error(), "prefix") {
+			t.Fatalf("%s backend accepted for prefix tier: %v", name, err)
+		}
 	}
 
 	cfg = prefixServerConfig(-1)

@@ -5,9 +5,7 @@ import (
 	"strings"
 	"testing"
 
-	"github.com/hackkv/hack/internal/attention"
 	"github.com/hackkv/hack/internal/model"
-	"github.com/hackkv/hack/internal/netsim"
 	"github.com/hackkv/hack/internal/sim"
 )
 
@@ -17,52 +15,8 @@ import (
 // miniature.
 func shipSessionInto(t *testing.T, s *Server, req Request) (restored *model.Session, firstTok int) {
 	t.Helper()
-	backend, err := s.BackendFor(req.Seed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sess, err := s.Model().NewSession(backend)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tok, err := sess.Prefill(req.Prompt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	spec := s.Spec()
-	hb, ok := backend.(*attention.HACKBackend)
-	if !ok {
-		t.Fatalf("backend %T is not restorable", backend)
-	}
-	heads := make([][]attention.Head, spec.Layers)
-	for l := 0; l < spec.Layers; l++ {
-		heads[l] = make([]attention.Head, spec.Heads)
-		for h := 0; h < spec.Heads; h++ {
-			exp := sess.Head(l, h).(attention.WireExporter)
-			k, v, tail, draws, err := exp.ExportWire()
-			if err != nil {
-				t.Fatal(err)
-			}
-			fr, err := netsim.FrameFromTensors(1, l, h, tok, k, v, tail.Data)
-			if err != nil {
-				t.Fatal(err)
-			}
-			fr.RNGDraws = draws
-			rk, rv, rtail, err := fr.Tensors()
-			if err != nil {
-				t.Fatal(err)
-			}
-			heads[l][h], err = hb.RestoreHead(spec.HeadDim, rk, rv, rtail, draws)
-			if err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	rs, err := s.Model().RestoreSession(backend, heads)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return rs, tok
+	sess, tok := prefilled(t, s, req.Prompt, req.Seed, nil)
+	return shipOverWire(t, s, sess, req.Seed), tok
 }
 
 // TestSubmitPrefilledMatchesLocal runs the same request through the

@@ -82,14 +82,9 @@ type Config struct {
 	// byte budget: requests whose prompts share a block-aligned prefix
 	// (within one quantizer seed) reuse the cached quantized pages and
 	// skip prefill over the matched span, streaming tokens that are
-	// byte-identical to a cold prefill of the same (prompt, seed). The
-	// attention backend must be prefix-shareable (the nil-Backend
-	// default switches to the PrefixShareable HACK configuration when
-	// the tier is enabled); note the prefix-shareable quantizer
-	// discipline draws different stochastic-rounding streams than the
-	// classic one, so enabling the tier changes token streams relative
-	// to a classic server at the same seed (but stays deterministic
-	// per (prompt, seed) and identical warm vs cold).
+	// byte-identical to a cold prefill of the same (prompt, seed) — and
+	// so to a server without the tier. The attention backend must export
+	// pages (attention.PrefixBackend: HACK with RQE and no eviction).
 	PrefixCacheBytes int64
 	// PrefixCachePageTokens is the tier's block granularity in tokens;
 	// it must be a positive multiple of the backend's partition Π.
@@ -119,12 +114,8 @@ type Config struct {
 	// back out of the KV caches and quantizer streams. 0 and 1 disable.
 	// Token streams stay byte-identical to the non-speculative server at
 	// the same (prompt, seed): speculation changes how many kernel calls
-	// produce the stream, never its bytes. Like the prefix tier,
-	// enabling speculation needs the prefix-shareable discipline, so the
-	// nil-Backend default switches to the PrefixShareable HACK
-	// configuration (see the PrefixCacheBytes note on how that changes
-	// streams relative to a classic server at the same seed). Requests
-	// whose backend cannot batch-verify fall back to plain decoding.
+	// produce the stream, never its bytes. Requests whose backend cannot
+	// batch-verify fall back to plain decoding.
 	SpecK int
 	// SpecDraft names the draft quantization class (DraftClasses lists
 	// them); empty selects DefaultDraftClass — Π=128 nearest-rounding
@@ -312,20 +303,13 @@ func New(cfg Config) (*Server, error) {
 			return nil, err
 		}
 	}
-	usePrefix := cfg.PrefixCacheBytes > 0 || cfg.PrefixCache != nil
-	useSpec := cfg.SpecK > 1
 	if cfg.Backend == nil {
 		cfg.Backend = func(seed int64) (attention.Backend, error) {
-			c := attention.DefaultHACKConfig(seed)
-			// The tier and the speculative verifier both need the
-			// shared-prefix quantization discipline (position-stable
-			// per-operand rounding streams).
-			c.PrefixShareable = usePrefix || useSpec
-			return attention.NewHACK(c)
+			return attention.NewHACK(attention.DefaultHACKConfig(seed))
 		}
 	}
 	var prefix *prefixTier
-	if usePrefix {
+	if cfg.PrefixCacheBytes > 0 || cfg.PrefixCache != nil {
 		var err error
 		if prefix, err = newPrefixTier(cfg); err != nil {
 			return nil, err

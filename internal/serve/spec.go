@@ -14,8 +14,8 @@ import (
 // proposes up to SpecK-1 tokens per step, and the request's
 // full-precision session verifies the window in one batched attention
 // call (model.Session.DecodeBatch). The accepted prefix is committed,
-// the rejected suffix is rolled out of both sessions' KV caches and
-// quantizer streams, and the emitted stream stays byte-identical to the
+// the rejected suffix is rolled out of both sessions' KV caches, and
+// the emitted stream stays byte-identical to the
 // non-speculative server at the same (prompt, seed) — speculation only
 // changes how many kernel calls produce the tokens, never which tokens.
 //
@@ -23,16 +23,16 @@ import (
 // committed token rows, so the draft's proposals are a deterministic
 // function of (prompt, seed) and acceptance rates reproduce run-to-run.
 
-// draftSeedSalt decorrelates the draft backend's quantizer streams from
-// the target's without costing determinism (both derive from the
+// draftSeedSalt decorrelates the draft backend's quantizer stream keys
+// from the target's without costing determinism (both derive from the
 // request seed).
 const draftSeedSalt = 0x5bd1e995b4793a1d
 
-// draftClasses enumerates the named draft quantization classes. All are
-// prefix-shareable (the draft must support rollback) with SE+RQE; they
-// differ in partition width and rounding. Wider partitions and nearest
+// draftClasses enumerates the named draft quantization classes. All run
+// SE+RQE (the draft must support rollback); they differ in partition
+// width and rounding. Wider partitions and nearest
 // rounding make the kernels cheaper — Π=128 nearest is the fastest
-// class (widest SE reuse, zero per-element RNG draws) and the default.
+// class (widest SE reuse, no per-element rounding draws) and the default.
 var draftClasses = map[string]func(cfg *attention.HACKConfig){
 	"pi128-nearest": func(c *attention.HACKConfig) { c.Pi = 128; c.Rounding = quant.NearestRounding },
 	"pi64-nearest":  func(c *attention.HACKConfig) { c.Pi = 64; c.Rounding = quant.NearestRounding },
@@ -65,7 +65,6 @@ func draftConfig(name string, seed int64) (attention.HACKConfig, error) {
 		return attention.HACKConfig{}, fmt.Errorf("serve: unknown draft class %q (have %v)", name, DraftClasses())
 	}
 	cfg := attention.DefaultHACKConfig(int64(uint64(seed) ^ draftSeedSalt))
-	cfg.PrefixShareable = true
 	cfg.NameOverride = "draft-" + name
 	mut(&cfg)
 	return cfg, nil

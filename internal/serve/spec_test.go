@@ -7,39 +7,22 @@ import (
 	"github.com/hackkv/hack/internal/attention"
 )
 
-// prefixShareableFactory is the speculation-off reference backend: the
-// same quantization discipline a SpecK server's nil-Backend default
-// selects, so stream comparisons isolate speculation itself.
-func prefixShareableFactory(seed int64) (attention.Backend, error) {
-	c := attention.DefaultHACKConfig(seed)
-	c.PrefixShareable = true
-	return attention.NewHACK(c)
-}
-
 // TestSpeculationStreamsByteIdentical pins the tentpole invariant:
 // for every draft class and window size, a speculative server's token
-// streams are byte-identical to the non-speculative prefix-shareable
-// server at the same (prompt, seed). Speculation may change when tokens
+// streams are byte-identical to the non-speculative server at the same
+// (prompt, seed). Speculation may change when tokens
 // are produced, never which.
 func TestSpeculationStreamsByteIdentical(t *testing.T) {
 	const nReq, promptLen, maxNew = 4, 12, 24
 	base := Config{PrefillWorkers: 1, DecodeParallelism: 1, MaxBatch: 4,
-		MaxNewTokens: maxNew, Backend: prefixShareableFactory}
+		MaxNewTokens: maxNew}
 	want := runAll(t, newTestServer(t, base), nReq, promptLen, maxNew)
 
 	for _, draft := range []string{"pi128-nearest", "pi64-nearest", "pi128", "pi64"} {
 		for _, k := range []int{1, 2, 4, 8} {
 			t.Run(fmt.Sprintf("%s-k%d", draft, k), func(t *testing.T) {
-				cfg := Config{PrefillWorkers: 1, DecodeParallelism: 1, MaxBatch: 4,
-					MaxNewTokens: maxNew, SpecK: k, SpecDraft: draft}
-				if k <= 1 {
-					// SpecK 1 disables speculation, and with it the
-					// nil-Backend switch to the prefix-shareable
-					// discipline; pin the discipline so the comparison
-					// isolates speculation.
-					cfg.Backend = prefixShareableFactory
-				}
-				s := newTestServer(t, cfg)
+				s := newTestServer(t, Config{PrefillWorkers: 1, DecodeParallelism: 1, MaxBatch: 4,
+					MaxNewTokens: maxNew, SpecK: k, SpecDraft: draft})
 				got := runAll(t, s, nReq, promptLen, maxNew)
 				for i := range want {
 					if fmt.Sprint(got[i]) != fmt.Sprint(want[i]) {
@@ -96,16 +79,14 @@ func TestSpeculationAcceptanceDeterministic(t *testing.T) {
 	}
 }
 
-// TestSpeculationClassicBackendFallsBack pins the degradation path: a
-// SpecK server over a classic (non-prefix-shareable) backend serves
-// identically to a plain classic server, counting fallbacks instead of
-// failing requests.
-func TestSpeculationClassicBackendFallsBack(t *testing.T) {
-	classic := func(seed int64) (attention.Backend, error) {
-		return attention.NewHACK(attention.DefaultHACKConfig(seed))
-	}
+// TestSpeculationFallsBackWithoutVerifier pins the degradation path: a
+// SpecK server over a backend that cannot batch-verify (FP16) serves
+// identically to a plain server, counting fallbacks instead of failing
+// requests.
+func TestSpeculationFallsBackWithoutVerifier(t *testing.T) {
+	fp16 := func(int64) (attention.Backend, error) { return attention.FP16Backend{}, nil }
 	base := Config{PrefillWorkers: 1, DecodeParallelism: 1, MaxBatch: 4,
-		MaxNewTokens: 16, Backend: classic}
+		MaxNewTokens: 16, Backend: fp16}
 	want := runAll(t, newTestServer(t, base), 3, 10, 16)
 
 	cfg := base
@@ -122,7 +103,7 @@ func TestSpeculationClassicBackendFallsBack(t *testing.T) {
 		t.Fatalf("speculation stats = %+v, want 3 fallbacks", sp)
 	}
 	if sp.Windows != 0 {
-		t.Errorf("%d verify windows ran on a classic backend", sp.Windows)
+		t.Errorf("%d verify windows ran on an FP16 backend", sp.Windows)
 	}
 }
 

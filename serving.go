@@ -66,12 +66,10 @@ type ServeConfig struct {
 	// cache tier under that byte budget: quantized Π-aligned KV pages
 	// from completed prefills are indexed by prompt prefix, and a later
 	// request sharing a cached prefix skips prefill over the matched
-	// span while streaming tokens byte-identical to its cold path.
-	// Requires a homomorphic engine method with requantization
-	// elimination; Listen reports an error otherwise. Note that
-	// enabling the tier selects the position-stable rounding mode, so
-	// token streams differ from a prefix-disabled deployment at the
-	// same seed (each mode stays deterministic per prompt and seed).
+	// span while streaming tokens byte-identical to its cold path — and
+	// to a deployment without the tier. Requires a homomorphic engine
+	// method with requantization elimination; Listen reports an error
+	// otherwise.
 	PrefixCacheBytes int64
 	// PrefixCachePageTokens is the cache page granularity in tokens; it
 	// must be a positive multiple of the method's partition size Π
@@ -82,10 +80,7 @@ type ServeConfig struct {
 	// method's full-precision kernels verify the whole window in one
 	// batched attention call. Token streams stay byte-identical to the
 	// non-speculative path per (prompt, seed) — speculation changes when
-	// tokens are produced, never which. 0 and 1 disable. Like
-	// PrefixCacheBytes, enabling speculation selects the position-stable
-	// rounding mode, so streams differ from a speculation-disabled
-	// deployment at the same seed (each mode stays deterministic).
+	// tokens are produced, never which. 0 and 1 disable.
 	SpecK int
 	// SpecDraft names the draft compression class (see
 	// DraftClasses; default "pi128-nearest"). Coarser classes draft
@@ -165,19 +160,10 @@ func (e *Engine) Listen(ctx context.Context) (*Server, error) {
 	if e.specK > 0 && sc.SpecK == 0 {
 		sc.SpecK, sc.SpecDraft = e.specK, e.specDraft
 	}
-	backend := serve.BackendForMethod(e.method, e.kernelPar)
-	if sc.PrefixCacheBytes > 0 || sc.SpecK > 1 {
-		// Both the prefix tier and speculative verification need the
-		// position-stable (prefix-shareable) kernel discipline.
-		var err error
-		if backend, err = serve.PrefixBackendForMethod(e.method, e.kernelPar); err != nil {
-			return nil, fmt.Errorf("hack: %w", err)
-		}
-	}
 	rt, err := serve.New(serve.Config{
 		Spec:                  sc.Model,
 		ModelSeed:             sc.ModelSeed,
-		Backend:               backend,
+		Backend:               serve.BackendForMethod(e.method, e.kernelPar),
 		Scheduler:             e.scheduler,
 		PrefillWorkers:        sc.PrefillWorkers,
 		MaxBatch:              sc.MaxBatch,
