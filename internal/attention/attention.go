@@ -16,6 +16,15 @@
 // Each backend mirrors the paper's fused attn_prefill / attn_decode
 // kernels (§6) as a Prefill and a Decode method, and reports Stats — the
 // op and byte tallies that the performance model prices.
+//
+// Like the paper's fused prefill kernels, prefill computes only the live
+// causal triangle: every backend scales and softmaxes each score row's
+// live prefix (tensor.CausalSoftmax), and the HACK backend also skips
+// the masked tiles of its quantized products — Q·Kᵀ computes no score
+// past the diagonal, the P quantizer writes the all-zero Π-blocks past
+// it without scanning them, and P·V stops each row at its last live
+// block. All of it is exact: outputs are bit-identical to computing the
+// full matrix and masking it, and Stats count the work actually done.
 package attention
 
 import (
@@ -100,15 +109,47 @@ type Backend interface {
 	NewHead(headDim int) (Head, error)
 }
 
+// scoreScale is the 1/√d_h factor of the attention scores.
+func scoreScale(dh int) float32 { return float32(1 / math.Sqrt(float64(dh))) }
+
 // scaledScoresInto computes S = q·kᵀ/√d_h in float32 into dst.
 func scaledScoresInto(dst, q, k *tensor.Matrix) *tensor.Matrix {
-	s := tensor.MatMulTransBInto(dst, q, k)
-	return s.Scale(float32(1 / math.Sqrt(float64(q.Cols))))
+	return tensor.MatMulTransBInto(dst, q, k).Scale(scoreScale(q.Cols))
 }
 
-// softmaxOps estimates the floating-point cost of a row-wise softmax
-// (exp ≈ 4 ops, plus max/sum/divide passes).
-func softmaxOps(rows, cols int) int64 { return 7 * int64(rows) * int64(cols) }
+// causalProbsInto computes the causal attention probabilities of a
+// prefill in float32 into dst: the scores q·kᵀ, then each row's live
+// prefix scaled and softmaxed (the query rows are k's last q.Rows
+// positions). It returns the probabilities and the live cell count.
+func causalProbsInto(dst, q, k *tensor.Matrix) (*tensor.Matrix, int64) {
+	offset := k.Rows - q.Rows
+	s := tensor.CausalSoftmax(tensor.MatMulTransBInto(dst, q, k), offset, scoreScale(q.Cols))
+	return s, liveCells(s.Rows, offset, s.Cols, 1)
+}
+
+// liveCells counts the causal live cells of a rows×cols score matrix
+// whose row i attends columns 0..i+offset (all of them when offset < 0),
+// rounding each row's live prefix up to whole pi-blocks — the span a
+// Π-partitioned pass over the row touches (pi = 1 counts cells).
+func liveCells(rows, offset, cols, pi int) int64 {
+	var n int64
+	for i := 0; i < rows; i++ {
+		live := (tensor.LiveCols(i, offset, cols) + pi - 1) / pi * pi
+		n += int64(min(live, cols))
+	}
+	return n
+}
+
+// softmaxOps estimates the floating-point cost of a softmax over the
+// given number of cells (exp ≈ 4 ops, plus max/sum/divide passes).
+func softmaxOps(cells int64) int64 { return 7 * cells }
+
+// floatPrefillOps counts a float prefill's work: the full q·kᵀ
+// (2·d_h per score), the live softmax, and P·V over the live
+// probabilities (the zero ones are skipped).
+func floatPrefillOps(q, s *tensor.Matrix, live int64) int64 {
+	return 2*int64(q.Cols)*int64(s.Rows)*int64(s.Cols) + softmaxOps(live) + 2*int64(q.Cols)*live
+}
 
 // ---------------------------------------------------------------------
 // Exact float32 reference.
@@ -141,11 +182,9 @@ func (h *exactHead) Prefill(q, k, v *tensor.Matrix) (*tensor.Matrix, Stats, erro
 	var st Stats
 	h.k = tensor.AppendRows(h.k, k)
 	h.v = tensor.AppendRows(h.v, v)
-	s := scaledScoresInto(h.s, q, h.k)
-	tensor.CausalMask(s, 0)
-	tensor.Softmax(s)
+	s, live := causalProbsInto(h.s, q, h.k)
 	out := tensor.MatMulInto(h.out, s, h.v)
-	st.FloatOps = 4*int64(q.Rows)*int64(q.Cols)*int64(h.k.Rows) + softmaxOps(s.Rows, s.Cols)
+	st.FloatOps = floatPrefillOps(q, s, live)
 	return out, st, nil
 }
 
@@ -156,7 +195,7 @@ func (h *exactHead) Decode(q, k, v *tensor.Matrix) (*tensor.Matrix, Stats, error
 	s := scaledScoresInto(h.s, q, h.k)
 	tensor.Softmax(s)
 	out := tensor.MatMulInto(h.out, s, h.v)
-	st.FloatOps = 4*int64(q.Cols)*int64(h.k.Rows) + softmaxOps(1, s.Cols)
+	st.FloatOps = 4*int64(q.Cols)*int64(h.k.Rows) + softmaxOps(int64(s.Cols))
 	st.KVBytesRead = 4 * int64(len(h.k.Data)+len(h.v.Data))
 	return out, st, nil
 }
@@ -201,11 +240,9 @@ func (h *fp16Head) Prefill(q, k, v *tensor.Matrix) (*tensor.Matrix, Stats, error
 	}
 	qr := h.qr.CopyInto(q)
 	fp16.RoundSlice(qr.Data)
-	s := scaledScoresInto(h.s, qr, h.c.K)
-	tensor.CausalMask(s, 0)
-	tensor.Softmax(s)
+	s, live := causalProbsInto(h.s, qr, h.c.K)
 	out := tensor.MatMulInto(h.out, s, h.c.V)
-	st.FloatOps = 4*int64(q.Rows)*int64(q.Cols)*int64(h.c.Len()) + softmaxOps(s.Rows, s.Cols)
+	st.FloatOps = floatPrefillOps(q, s, live)
 	return out, st, nil
 }
 
@@ -219,7 +256,7 @@ func (h *fp16Head) Decode(q, k, v *tensor.Matrix) (*tensor.Matrix, Stats, error)
 	s := scaledScoresInto(h.s, qr, h.c.K)
 	tensor.Softmax(s)
 	out := tensor.MatMulInto(h.out, s, h.c.V)
-	st.FloatOps = 4*int64(q.Cols)*int64(h.c.Len()) + softmaxOps(1, s.Cols)
+	st.FloatOps = 4*int64(q.Cols)*int64(h.c.Len()) + softmaxOps(int64(s.Cols))
 	st.KVBytesRead = int64(h.c.Usage().Total())
 	return out, st, nil
 }
@@ -306,11 +343,9 @@ func (h *dequantHead) Prefill(q, k, v *tensor.Matrix) (*tensor.Matrix, Stats, er
 	st.DequantOps = 4 * int64(dk.Rows) * int64(dk.Cols)
 	qr := h.qr.CopyInto(q)
 	fp16.RoundSlice(qr.Data)
-	s := scaledScoresInto(h.s, qr, dk)
-	tensor.CausalMask(s, 0)
-	tensor.Softmax(s)
+	s, live := causalProbsInto(h.s, qr, dk)
 	out := tensor.MatMulInto(h.out, s, dv)
-	st.FloatOps = 4*int64(q.Rows)*int64(q.Cols)*int64(dk.Rows) + softmaxOps(s.Rows, s.Cols)
+	st.FloatOps = floatPrefillOps(q, s, live)
 	return out, st, nil
 }
 
@@ -328,7 +363,7 @@ func (h *dequantHead) Decode(q, k, v *tensor.Matrix) (*tensor.Matrix, Stats, err
 	s := scaledScoresInto(h.s, qr, dk)
 	tensor.Softmax(s)
 	out := tensor.MatMulInto(h.out, s, dv)
-	st.FloatOps = 4*int64(q.Cols)*int64(dk.Rows) + softmaxOps(1, s.Cols)
+	st.FloatOps = 4*int64(q.Cols)*int64(dk.Rows) + softmaxOps(int64(s.Cols))
 	st.KVBytesRead = int64(h.c.Usage().Total())
 	return out, st, nil
 }
@@ -505,9 +540,11 @@ func (h *hackHead) opts() hack.Options {
 }
 
 // attend computes softmax(q·Kᵀ/√d)·V against the cache for the given
-// query rows — the cache's most recently appended tokens; maskOffset >= 0
-// applies the causal mask (prefill), maskOffset < 0 skips it (decode
-// attends to everything).
+// query rows — the cache's most recently appended tokens. maskOffset >= 0
+// is a prefill: query row i attends key positions 0..i+maskOffset, and
+// every product, the softmax and the P quantizer cover that live
+// triangle only. maskOffset < 0 is a decode step, which attends to
+// everything through the same kernels.
 func (h *hackHead) attend(q *tensor.Matrix, maskOffset int, st *Stats) (*tensor.Matrix, error) {
 	dh := q.Cols
 	row0 := h.c.NextPos() - q.Rows
@@ -518,46 +555,38 @@ func (h *hackHead) attend(q *tensor.Matrix, maskOffset int, st *Stats) (*tensor.
 	h.qq = qq
 	st.QuantOps += 2 * int64(q.Rows) * int64(dh)
 
-	// ① homomorphic Q·Kᵀ on quantized data.
+	// ① homomorphic Q·Kᵀ on quantized data, live columns only.
 	s := h.s
-	ops := hack.MatMulTransBInto(s, qq, h.c.K, h.opts())
-	st.IntOps += ops.IntMACs
-	st.ApproxOps += ops.ApproxFlops
-	st.SumOps += ops.SumRecomputeOps
-	s.Scale(float32(1 / math.Sqrt(float64(dh))))
-	st.FloatOps += int64(s.Rows) * int64(s.Cols)
-	if maskOffset >= 0 {
-		tensor.CausalMask(s, maskOffset)
-	}
-	tensor.Softmax(s)
-	st.FloatOps += softmaxOps(s.Rows, s.Cols)
+	st.addOps(hack.CausalMatMulTransBInto(s, qq, h.c.K, maskOffset, h.opts()))
+	tensor.CausalSoftmax(s, maskOffset, scoreScale(dh))
+	live := liveCells(s.Rows, maskOffset, s.Cols, 1)
+	st.FloatOps += live + softmaxOps(live) // scale + softmax
 	h.accumulateScores(s)
 
 	// ② homomorphic P·V: quantized part against VFull, FP16 (or
 	// requantized) tail separately.
 	nFull := h.c.VFull.Rows
 	out := h.out.Reset(q.Rows, dh)
+	liveFull := int64(0)
 	if nFull > 0 {
 		// P row i is query position row0+i and its columns are key
 		// positions, so no draw depends on the prompt's length.
 		pFull := s.SliceColsInto(h.pFull, 0, nFull)
-		pq, err := quant.QuantizeInto(h.pq, pFull, quant.AlongCols, h.qCfg(h.keys.P, row0))
+		pq, err := quant.QuantizeCausalInto(h.pq, pFull, maskOffset, h.qCfg(h.keys.P, row0))
 		if err != nil {
 			return nil, err
 		}
 		h.pq = pq
-		st.QuantOps += 2 * int64(pFull.Rows) * int64(nFull)
-		ops := hack.MatMulInto(h.pvOut, pq, h.c.VFull, h.opts())
-		st.IntOps += ops.IntMACs
-		st.ApproxOps += ops.ApproxFlops
-		st.SumOps += ops.SumRecomputeOps
+		st.QuantOps += 2 * liveCells(pFull.Rows, maskOffset, nFull, h.cfg.Pi)
+		liveFull = liveCells(pFull.Rows, maskOffset, nFull, 1)
+		st.addOps(hack.CausalMatMulInto(h.pvOut, pq, h.c.VFull, maskOffset, h.opts()))
 		out.Add(h.pvOut)
 	}
 	tail := h.c.TailMatrix()
 	if tail.Rows > 0 {
 		pTail := s.SliceColsInto(h.pTail, nFull, nFull+tail.Rows)
 		out.Add(tensor.MatMulInto(h.tailOut, pTail, tail))
-		st.FloatOps += 2 * int64(q.Rows) * int64(tail.Rows) * int64(dh)
+		st.FloatOps += 2 * (live - liveFull) * int64(dh)
 		if !h.cfg.RequantizationElimination {
 			// The ablation pays a dequantization of the partial block
 			// to form the matrix we just multiplied.
@@ -565,6 +594,13 @@ func (h *hackHead) attend(q *tensor.Matrix, maskOffset int, st *Stats) (*tensor.
 		}
 	}
 	return out, nil
+}
+
+// addOps folds a homomorphic product's op tally into s.
+func (s *Stats) addOps(ops hack.Ops) {
+	s.IntOps += ops.IntMACs
+	s.ApproxOps += ops.ApproxFlops
+	s.SumOps += ops.SumRecomputeOps
 }
 
 // Prefill implements Head. On a head restored over cached tokens it

@@ -176,6 +176,40 @@ func TestStatsSeparateTheMethods(t *testing.T) {
 	}
 }
 
+// A HACK prefill counts the live causal triangle it computes, not the
+// full L×L square: over L = 2Π+5 prompt tokens (two quantized V
+// partitions and a 5-row FP16 tail), query row i scores i+1 keys and
+// multiplies min(2, ⌊i/Π⌋+1) P partitions.
+func TestHACKPrefillCountsLiveTriangle(t *testing.T) {
+	const pi, L = 64, 2*64 + 5
+	b, err := NewHACK(DefaultHACKConfig(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, err := b.NewHead(dh)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q, k, v := randQKV(12, L)
+	_, st, err := h.Prefill(q, k, v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cells := int64(L * (L + 1) / 2)             // Q·Kᵀ scores computed
+	liveFull := int64(2*pi*(2*pi+1)/2 + 5*2*pi) // of them, in the quantized span
+	blocks := int64(pi*1 + (L-pi)*2)            // P partitions multiplied
+	nbQ := int64((dh + pi - 1) / pi)
+	want := Stats{
+		IntOps:    2*dh*cells + 2*dh*pi*blocks,
+		ApproxOps: 9*nbQ*cells + L*dh + 9*dh*blocks + pi*blocks,
+		FloatOps:  8*cells + 2*dh*(cells-liveFull),
+		QuantOps:  2*2*L*dh + 2*L*dh + 2*pi*blocks,
+	}
+	if st != want {
+		t.Errorf("prefill stats %+v, want %+v", st, want)
+	}
+}
+
 // The SE ablation recomputes sums, the RQE ablation requantizes the V
 // tail — both must show up in stats while full HACK shows neither.
 func TestAblationStats(t *testing.T) {

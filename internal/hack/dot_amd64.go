@@ -13,12 +13,6 @@ package hack
 // kernels fall back to the unrolled pure-Go dot otherwise, with
 // bit-identical results either way: integer accumulation is exact.
 
-// cpuid executes the CPUID instruction (implemented in dot_amd64.s).
-func cpuid(eaxIn, ecxIn uint32) (eax, ebx, ecx, edx uint32)
-
-// xgetbv reads extended control register 0 (implemented in dot_amd64.s).
-func xgetbv() (eax, edx uint32)
-
 // dotU8MADD computes Σ u[k]·s[k] over n bytes (n must be a multiple of
 // 32) with u treated as unsigned and s as signed bytes.
 //
@@ -47,27 +41,6 @@ func dotU8MADDBlocks4(u0, u1, u2, u3, s *uint8, blocks, bl int, out *int32)
 //
 //go:noescape
 func dotU8MADDBlocks8(u *uint8, ustride int, s *uint8, blocks, bl int, out *int32)
-
-// hasAVX2 reports whether the CPU and OS support the AVX2 fast path.
-var hasAVX2 = detectAVX2()
-
-func detectAVX2() bool {
-	maxID, _, _, _ := cpuid(0, 0)
-	if maxID < 7 {
-		return false
-	}
-	_, _, c, _ := cpuid(1, 0)
-	const osxsave = 1 << 27
-	const avx = 1 << 28
-	if c&osxsave == 0 || c&avx == 0 {
-		return false
-	}
-	if eax, _ := xgetbv(); eax&6 != 6 { // OS saves XMM+YMM state
-		return false
-	}
-	_, b, _, _ := cpuid(7, 0)
-	return b&(1<<5) != 0 // AVX2
-}
 
 // dotMADD is the dispatched dot product: the AVX2 body over the largest
 // 32-byte-aligned prefix, a scalar tail for ragged block lengths. u is

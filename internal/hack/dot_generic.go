@@ -2,11 +2,9 @@
 
 package hack
 
-// Non-amd64 builds always take the unrolled pure-Go dot product.
-const hasAVX2 = false
-
-// dotMADD is never reached when hasAVX2 is false; it exists so the
-// kernels compile on every architecture.
+// Non-amd64 builds always take the unrolled pure-Go dot product
+// (cpufeat.AVX2 is false there). dotMADD is never reached; it exists so
+// the kernels compile on every architecture.
 func dotMADD(u, s []uint8) int32 { return dotU8(u, s) }
 
 // dotU8MADDBlocks is likewise unreachable off amd64.

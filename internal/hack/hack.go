@@ -36,6 +36,7 @@ package hack
 import (
 	"sync"
 
+	"github.com/hackkv/hack/internal/cpufeat"
 	"github.com/hackkv/hack/internal/quant"
 	"github.com/hackkv/hack/internal/sweeprun"
 	"github.com/hackkv/hack/internal/tensor"
@@ -97,6 +98,7 @@ type kernelScratch struct {
 	mb, sb, bs []float32 // block-major min / scale / Σ-as-float32 of B
 	sums       []int32   // recomputed Σ b′ for the no-SE ablation
 	accs       []int32   // per-column integer accumulators (sweep kernel)
+	cuts       []int     // row-split boundaries of a parallel product
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(kernelScratch) }}
@@ -130,7 +132,7 @@ const (
 // the other side may use the full 8. Results are bit-identical on every
 // path.
 func maddFor(aBits, bBits int) maddMode {
-	if !hasAVX2 {
+	if !cpufeat.AVX2 {
 		return maddOff
 	}
 	if bBits <= 6 {
@@ -223,17 +225,18 @@ const packAmortRows = 128
 // ks.accs — no packing pass, no strided reads. Integer accumulation is
 // exact and each output element applies its Eq. (4) correction in
 // ascending block order with the scalar kernel's expression, so the
-// result is bit-identical to the reference. Runs serially: decode-shaped
-// callers parallelize across heads, not within this product.
+// result is bit-identical to the reference. Under a causal mask row i
+// stops at its last live partition. Runs serially: decode-shaped callers
+// parallelize across heads, not within this product.
 func sweepRows(dst *tensor.Matrix, a *quant.Tensor, ks *kernelScratch, bCodes []uint8,
-	bMin, bScale []float32, bSums []int32, m, z, n int) {
+	bMin, bScale []float32, bSums []int32, mk mask, m, z, n int) {
 	nb := a.NBlocks
 	ks.accs = tensor.Grow(ks.accs, n)
 	accs := ks.accs[:n]
 	for i := 0; i < m; i++ {
 		aRow := a.Codes[i*z : (i+1)*z]
 		oRow := dst.Row(i)
-		for g := 0; g < nb; g++ {
+		for g, live := 0, mk.blocks(i, a.Pi, z); g < live; g++ {
 			lo, hi := a.BlockRange(g)
 			blockLen := float32(hi - lo)
 			for j := range accs {
@@ -289,6 +292,20 @@ func MatMul(a, b *quant.Tensor, opt Options) (*tensor.Matrix, Ops) {
 // N output columns per inner row — for those shapes a per-call repack
 // would cost as much as the multiply itself.
 func MatMulInto(dst *tensor.Matrix, a, b *quant.Tensor, opt Options) Ops {
+	return CausalMatMulInto(dst, a, b, -1, opt)
+}
+
+// CausalMatMulInto is MatMulInto for the P·V product of a causal
+// prefill: row i of a holds query position offset+i's probabilities over
+// key positions, zero past column i+offset (tensor.CausalSoftmax,
+// quantized by quant.QuantizeCausalInto), so row i's product stops at
+// the last partition holding a live column. A skipped partition carries
+// zero codes and metadata; its Eq. (4) terms are ±0, which cannot change
+// an accumulator that starts at +0 (round-to-nearest never yields −0
+// from a sum that is not −0), so the result is bit-identical to
+// MatMulInto on the same operands. A negative offset computes every row
+// whole. Ops counts the partitions actually multiplied.
+func CausalMatMulInto(dst *tensor.Matrix, a, b *quant.Tensor, offset int, opt Options) Ops {
 	checkMatMulShapes(a, b)
 	m, z, n := a.Rows, a.Cols, b.Cols
 	dst.Reset(m, n)
@@ -296,6 +313,7 @@ func MatMulInto(dst *tensor.Matrix, a, b *quant.Tensor, opt Options) Ops {
 	if z == 0 {
 		return ops
 	}
+	mk := mask{off: offset, inner: true}
 
 	ks := scratchPool.Get().(*kernelScratch)
 	defer scratchPool.Put(ks)
@@ -309,7 +327,7 @@ func MatMulInto(dst *tensor.Matrix, a, b *quant.Tensor, opt Options) Ops {
 	}
 
 	if m < packMinRows || m*packAmortRows < z {
-		sweepRows(dst, a, ks, b.Codes, b.Min, b.Scale, bSums, m, z, n)
+		sweepRows(dst, a, ks, b.Codes, b.Min, b.Scale, bSums, mk, m, z, n)
 	} else {
 		// Pack B transposed: column j's codes become the contiguous run
 		// ks.panel[j·z : (j+1)·z]. Reads stream row-major.
@@ -320,15 +338,9 @@ func MatMulInto(dst *tensor.Matrix, a, b *quant.Tensor, opt Options) Ops {
 				ks.panel[j*z+zi] = c
 			}
 		}
-		runTiles(dst, a, ks, ks.panel, b.Min, b.Scale, bSums, b.Bits, opt, m, z, n)
+		runTiles(dst, a, ks, ks.panel, b.Min, b.Scale, bSums, b.Bits, opt, mk, m, z, n)
 	}
-
-	nb := a.NBlocks
-	ops.IntMACs = 2 * int64(m) * int64(z) * int64(n)
-	// Approximation flop count per the §5.2 analysis: 9MN per block pair
-	// plus the A row sums (MZ); the B column sums (NZ) are either cached
-	// (SE) or counted above as SumRecomputeOps.
-	ops.ApproxFlops = int64(nb)*9*int64(m)*int64(n) + int64(m)*int64(z)
+	mk.count(&ops, a.Pi, m, z, n)
 	return ops
 }
 
@@ -347,6 +359,15 @@ func MatMulTransB(a, bT *quant.Tensor, opt Options) (*tensor.Matrix, Ops) {
 // the inner dimension, so no packing is needed — the codes feed the
 // shared tiles directly.
 func MatMulTransBInto(dst *tensor.Matrix, a, bT *quant.Tensor, opt Options) Ops {
+	return CausalMatMulTransBInto(dst, a, bT, -1, opt)
+}
+
+// CausalMatMulTransBInto is MatMulTransBInto for the Q·Kᵀ scores of a
+// causal prefill: row i is query position offset+i, and only its live
+// key columns 0..i+offset (tensor.LiveCols) are computed; every column
+// past them stays 0. A negative offset computes every row whole (a
+// decode step attends to everything). Ops counts the cells computed.
+func CausalMatMulTransBInto(dst *tensor.Matrix, a, bT *quant.Tensor, offset int, opt Options) Ops {
 	checkMatMulTransBShapes(a, bT)
 	m, z, n := a.Rows, a.Cols, bT.Rows
 	dst.Reset(m, n)
@@ -354,6 +375,7 @@ func MatMulTransBInto(dst *tensor.Matrix, a, bT *quant.Tensor, opt Options) Ops 
 	if z == 0 {
 		return ops
 	}
+	mk := mask{off: offset}
 
 	ks := scratchPool.Get().(*kernelScratch)
 	defer scratchPool.Put(ks)
@@ -366,12 +388,75 @@ func MatMulTransBInto(dst *tensor.Matrix, a, bT *quant.Tensor, opt Options) Ops 
 		ops.SumRecomputeOps += int64(z) * int64(n)
 	}
 
-	runTiles(dst, a, ks, bT.Codes, bT.Min, bT.Scale, bSums, bT.Bits, opt, m, z, n)
-
-	nb := a.NBlocks
-	ops.IntMACs = 2 * int64(m) * int64(z) * int64(n)
-	ops.ApproxFlops = int64(nb)*9*int64(m)*int64(n) + int64(m)*int64(z)
+	runTiles(dst, a, ks, bT.Codes, bT.Min, bT.Scale, bSums, bT.Bits, opt, mk, m, z, n)
+	mk.count(&ops, a.Pi, m, z, n)
 	return ops
+}
+
+// mask is a product's causal clamp. Row i of a masked product is query
+// position off+i: a Q·Kᵀ product computes its output columns 0..i+off
+// only, an inner (P·V) product the partitions of A holding columns
+// 0..i+off only. off < 0 leaves every row whole.
+type mask struct {
+	off   int
+	inner bool
+}
+
+// cols returns the end of row i's live output columns out of n.
+func (mk mask) cols(i, n int) int {
+	if mk.inner {
+		return n
+	}
+	return tensor.LiveCols(i, mk.off, n)
+}
+
+// blocks returns how many of row i's inner partitions of pi (covering
+// z) hold a live column.
+func (mk mask) blocks(i, pi, z int) int {
+	live := z
+	if mk.inner {
+		live = tensor.LiveCols(i, mk.off, z)
+	}
+	return (live + pi - 1) / pi
+}
+
+// count tallies the work of an M×Z by Z×N product under the mask, per
+// the §5.2 analysis: per output cell, 2 integer ops per live inner
+// element and 9 approximation flops per live partition pair, plus the A
+// row sums (M·Z unmasked); the B sums are either cached (SE) or counted
+// as SumRecomputeOps by the caller.
+func (mk mask) count(ops *Ops, pi, m, z, n int) {
+	for i := 0; i < m; i++ {
+		cells := int64(mk.cols(i, n))
+		g := mk.blocks(i, pi, z)
+		inner := int64(min(z, g*pi))
+		ops.IntMACs += 2 * inner * cells
+		ops.ApproxFlops += 9*int64(g)*cells + inner
+	}
+}
+
+// rowCuts splits rows [0, m) into w contiguous ranges of near-equal live
+// work (cells × partitions), so a causal product's triangle does not
+// leave the workers holding its short rows idle. cuts[k] is range k's
+// first row; cuts[w] = m.
+func (mk mask) rowCuts(cuts []int, w, pi, m, z, n int) []int {
+	cost := func(i int) int64 { return int64(mk.cols(i, n)) * int64(mk.blocks(i, pi, z)) }
+	var total int64
+	for i := 0; i < m; i++ {
+		total += cost(i)
+	}
+	cuts = append(cuts[:0], 0)
+	var acc int64
+	for i := 0; i < m && len(cuts) < w; i++ {
+		acc += cost(i)
+		if acc*int64(w) >= total*int64(len(cuts)) {
+			cuts = append(cuts, i+1)
+		}
+	}
+	for len(cuts) <= w {
+		cuts = append(cuts, m)
+	}
+	return cuts
 }
 
 // runTiles executes the shared kernel body over output tiles. bCodes
@@ -382,9 +467,11 @@ func MatMulTransBInto(dst *tensor.Matrix, a, bT *quant.Tensor, opt Options) Ops 
 // usual d_h/Π geometry), and the generic tile handles everything else.
 // Both accumulate each output element's per-block terms in ascending
 // block order with the scalar kernel's exact float expression, so any
-// tiling and either kernel is bit-identical to the reference.
+// tiling and either kernel is bit-identical to the reference. Row-split
+// fan-out cuts the rows by live work, so a causal triangle spreads
+// evenly across the workers.
 func runTiles(dst *tensor.Matrix, a *quant.Tensor, ks *kernelScratch, bCodes []uint8,
-	bMin, bScale []float32, bSums []int32, bBits int, opt Options, m, z, n int) {
+	bMin, bScale []float32, bSums []int32, bBits int, opt Options, mk mask, m, z, n int) {
 	nb := a.NBlocks
 	mode := maddFor(a.Bits, bBits)
 	blocked := mode != maddOff && a.Pi%32 == 0 && nb*a.Pi == z && nb <= maxBlockedNB
@@ -395,30 +482,33 @@ func runTiles(dst *tensor.Matrix, a *quant.Tensor, ks *kernelScratch, bCodes []u
 	if workers == 1 {
 		// Direct calls: the serial hot path must not allocate a closure.
 		if blocked {
-			blockedTile(dst, a, bCodes, bMin, bScale, bSums, mode, 0, m, 0, n)
+			blockedTile(dst, a, bCodes, bMin, bScale, bSums, mode, mk, 0, m, 0, n)
 		} else {
-			genericTile(dst, a, ks, bCodes, mode, 0, m, 0, n)
+			genericTile(dst, a, ks, bCodes, mode, mk, 0, m, 0, n)
 		}
 		return
 	}
 	tile := func(rlo, rhi, clo, chi int) {
 		if blocked {
-			blockedTile(dst, a, bCodes, bMin, bScale, bSums, mode, rlo, rhi, clo, chi)
+			blockedTile(dst, a, bCodes, bMin, bScale, bSums, mode, mk, rlo, rhi, clo, chi)
 		} else {
-			genericTile(dst, a, ks, bCodes, mode, rlo, rhi, clo, chi)
+			genericTile(dst, a, ks, bCodes, mode, mk, rlo, rhi, clo, chi)
 		}
 	}
 	if m >= workers {
-		sweeprun.ParallelFor(m, workers, func(rlo, rhi int) { tile(rlo, rhi, 0, n) })
+		cuts := mk.rowCuts(ks.cuts, workers, a.Pi, m, z, n)
+		ks.cuts = cuts
+		sweeprun.ParallelFor(workers, workers, func(lo, hi int) { tile(cuts[lo], cuts[hi], 0, n) })
 	} else {
 		sweeprun.ParallelFor(n, workers, func(clo, chi int) { tile(0, m, clo, chi) })
 	}
 }
 
 // blockedTile computes output rows [rlo, rhi) × columns [clo, chi) with
-// one dotU8MADDBlocks call per output element covering all partitions.
+// one dotU8MADDBlocks call per output element covering all of the row's
+// live partitions, over the row's live columns.
 func blockedTile(dst *tensor.Matrix, a *quant.Tensor, bCodes []uint8,
-	bMin, bScale []float32, bSums []int32, mode maddMode, rlo, rhi, clo, chi int) {
+	bMin, bScale []float32, bSums []int32, mode maddMode, mk mask, rlo, rhi, clo, chi int) {
 	z := a.Cols
 	nb := a.NBlocks
 	pi := a.Pi
@@ -445,7 +535,7 @@ func blockedTile(dst *tensor.Matrix, a *quant.Tensor, bCodes []uint8,
 					gw = 4
 				}
 			}
-			verifyTile(dst, a, bCodes, bMin, bScale, bSums, mode, i, gw, clo, chi)
+			verifyTile(dst, a, bCodes, bMin, bScale, bSums, mode, mk, i, gw, clo, chi)
 			i += gw
 		}
 		return
@@ -456,18 +546,19 @@ func blockedTile(dst *tensor.Matrix, a *quant.Tensor, bCodes []uint8,
 		aScale := a.Scale[i*nb : (i+1)*nb]
 		aSums := a.Sums[i*nb : (i+1)*nb]
 		oRow := dst.Row(i)
-		for j := clo; j < chi; j++ {
+		live := mk.blocks(i, pi, z)
+		for j, jhi := clo, min(chi, mk.cols(i, dst.Cols)); j < jhi; j++ {
 			bRow := bCodes[j*z : (j+1)*z]
 			if mode == maddBSigned {
-				dotU8MADDBlocks(&aRow[0], &bRow[0], nb, pi, &accs[0])
+				dotU8MADDBlocks(&aRow[0], &bRow[0], live, pi, &accs[0])
 			} else {
-				dotU8MADDBlocks(&bRow[0], &aRow[0], nb, pi, &accs[0])
+				dotU8MADDBlocks(&bRow[0], &aRow[0], live, pi, &accs[0])
 			}
 			bMinJ := bMin[j*nb : (j+1)*nb]
 			bScaleJ := bScale[j*nb : (j+1)*nb]
 			bSumJ := bSums[j*nb : (j+1)*nb]
 			v := oRow[j]
-			for g := 0; g < nb; g++ {
+			for g := 0; g < live; g++ {
 				ma, sa := aMin[g], aScale[g]
 				aSum := float32(aSums[g])
 				mb, sb := bMinJ[g], bScaleJ[g]
@@ -500,14 +591,21 @@ const verifyTileBuf = 4096
 // contiguously instead of re-deriving them per element. The per-element
 // correction keeps the scalar kernel's exact expression and ascending
 // block order, so the result stays bit-identical to the reference.
+//
+// Under a causal mask the group computes the live region of its last
+// (longest) row: the earlier rows' extra inner partitions are all-zero
+// (±0 terms, exact), and their extra Q·Kᵀ columns are cleared after.
 func verifyTile(dst *tensor.Matrix, a *quant.Tensor, bCodes []uint8,
-	bMin, bScale []float32, bSums []int32, mode maddMode, i0, gw, clo, chi int) {
+	bMin, bScale []float32, bSums []int32, mode maddMode, mk mask, i0, gw, clo, chi int) {
 	z := a.Cols
 	nb := a.NBlocks
 	pi := a.Pi
 	blockLen := float32(pi)
+	last := i0 + gw - 1
+	live := mk.blocks(last, pi, z)
+	chi = min(chi, mk.cols(last, dst.Cols))
 	var buf [verifyTileBuf]int32
-	stride := nb * gw // one column's dots in buf
+	stride := live * gw // one column's dots in buf
 	tj := verifyTileBuf / stride
 	var oRows [8][]float32
 	var aMinR, aScaleR [8][]float32
@@ -529,16 +627,16 @@ func verifyTile(dst *tensor.Matrix, a *quant.Tensor, bCodes []uint8,
 			out := &buf[jj*stride]
 			switch gw {
 			case 8:
-				dotU8MADDBlocks8(&a.Codes[i0*z], z, &bRow[0], nb, pi, out)
+				dotU8MADDBlocks8(&a.Codes[i0*z], z, &bRow[0], live, pi, out)
 			case 4:
 				dotU8MADDBlocks4(&a.Codes[i0*z], &a.Codes[(i0+1)*z],
-					&a.Codes[(i0+2)*z], &a.Codes[(i0+3)*z], &bRow[0], nb, pi, out)
+					&a.Codes[(i0+2)*z], &a.Codes[(i0+3)*z], &bRow[0], live, pi, out)
 			default:
 				aRow := a.Codes[i0*z : (i0+1)*z]
 				if mode == maddBSigned {
-					dotU8MADDBlocks(&aRow[0], &bRow[0], nb, pi, out)
+					dotU8MADDBlocks(&aRow[0], &bRow[0], live, pi, out)
 				} else {
-					dotU8MADDBlocks(&bRow[0], &aRow[0], nb, pi, out)
+					dotU8MADDBlocks(&bRow[0], &aRow[0], live, pi, out)
 				}
 			}
 		}
@@ -549,7 +647,7 @@ func verifyTile(dst *tensor.Matrix, a *quant.Tensor, bCodes []uint8,
 		// scalar expression, so bit-identity with the reference holds.
 		for jj, j := 0, j0; j < j1; jj, j = jj+1, j+1 {
 			base := jj * stride
-			for g := 0; g < nb; g++ {
+			for g := 0; g < live; g++ {
 				mb, sb := bMin[j*nb+g], bScale[j*nb+g]
 				bSum := float32(bSums[j*nb+g])
 				dots := buf[base+g*gw : base+(g+1)*gw]
@@ -564,13 +662,19 @@ func verifyTile(dst *tensor.Matrix, a *quant.Tensor, bCodes []uint8,
 			}
 		}
 	}
+	for r := 0; r < gw; r++ {
+		if lo := max(mk.cols(i0+r, dst.Cols), clo); lo < chi {
+			clear(oRows[r][lo:chi])
+		}
+	}
 }
 
 // genericTile computes output rows [rlo, rhi) × columns [clo, chi) with
 // per-block dots: block-major packed metadata, j-tiling for cache reuse,
-// and the dispatched dot product.
+// and the dispatched dot product. Each row covers its live partitions
+// and columns only.
 func genericTile(dst *tensor.Matrix, a *quant.Tensor, ks *kernelScratch, bCodes []uint8,
-	mode maddMode, rlo, rhi, clo, chi int) {
+	mode maddMode, mk mask, rlo, rhi, clo, chi int) {
 	z := a.Cols
 	n := dst.Cols
 	nb := a.NBlocks
@@ -586,11 +690,14 @@ func genericTile(dst *tensor.Matrix, a *quant.Tensor, ks *kernelScratch, bCodes 
 				j1 = chi
 			}
 			for i := rlo; i < rhi; i++ {
+				if g >= mk.blocks(i, a.Pi, z) {
+					continue
+				}
 				ma, sa := a.Meta(i, g)
 				aSum := float32(a.Sum(i, g))
 				aRow := a.Codes[i*z+lo : i*z+hi]
 				oRow := dst.Row(i)
-				for j := j0; j < j1; j++ {
+				for j, jhi := j0, min(j1, mk.cols(i, n)); j < jhi; j++ {
 					// Integer dot product over the block — the part GPUs
 					// accelerate with INT8 tensor cores.
 					acc := dot(mode, aRow, bCodes[j*z+lo:j*z+hi])

@@ -217,6 +217,21 @@ func Quantize(m *tensor.Matrix, axis Axis, cfg Config) (*Tensor, error) {
 // loop: quantizing the 1×d_h query into the same tensor every step costs
 // no allocations at steady state.
 func QuantizeInto(t *Tensor, m *tensor.Matrix, axis Axis, cfg Config) (*Tensor, error) {
+	return quantizeInto(t, m, axis, -1, cfg)
+}
+
+// QuantizeCausalInto is QuantizeInto along columns for a causally masked
+// matrix — row i zero past column i+offset, as tensor.CausalSoftmax
+// leaves a prefill's attention probabilities. Partitions that lie
+// entirely past the diagonal are written without being scanned as what
+// QuantizeInto makes of an all-zero partition: zero codes, min, scale
+// and sum (a degenerate partition draws no rounding uniforms either). A
+// negative offset quantizes every partition.
+func QuantizeCausalInto(t *Tensor, m *tensor.Matrix, offset int, cfg Config) (*Tensor, error) {
+	return quantizeInto(t, m, AlongCols, offset, cfg)
+}
+
+func quantizeInto(t *Tensor, m *tensor.Matrix, axis Axis, offset int, cfg Config) (*Tensor, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
@@ -249,8 +264,18 @@ func QuantizeInto(t *Tensor, m *tensor.Matrix, axis Axis, cfg Config) (*Tensor, 
 		r.key = cfg.RNG.Uint64()
 	}
 	for v := 0; v < nvec; v++ {
-		for b := 0; b < nblocks; b++ {
+		live := nblocks
+		if offset >= 0 {
+			live = (tensor.LiveCols(v, offset, axisLen) + cfg.Partition - 1) / cfg.Partition
+		}
+		for b := 0; b < live; b++ {
 			quantizeBlock(t, m, v, b, &r)
+		}
+		for b := live; b < nblocks; b++ {
+			lo, hi := t.BlockRange(b)
+			clear(t.Codes[v*t.Cols+lo : v*t.Cols+hi])
+			mi := t.metaIndex(v, b)
+			t.Min[mi], t.Scale[mi], t.Sums[mi] = 0, 0, 0
 		}
 	}
 	return t, nil

@@ -176,25 +176,43 @@ func MatMul(a, b *Matrix) *Matrix {
 // MatMulInto computes a × b into dst (reshaped and zeroed first),
 // returning dst. Identical results to MatMul without the per-call output
 // allocation once dst has grown to its steady-state size.
+//
+// Each output row accumulates a[i,z]·b[z,j] for z ascending, skipping
+// zero a[i,z] (a causally masked probability row costs nothing past its
+// diagonal). On AVX2 hardware eight columns go per instruction, with the
+// product rounded before the add exactly as the scalar loop rounds it,
+// so the result is bit-identical on every machine.
 func MatMulInto(dst, a, b *Matrix) *Matrix {
 	if a.Cols != b.Rows {
 		panic(fmt.Sprintf("tensor: matmul shape %dx%d × %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
 	}
 	dst.Reset(a.Rows, b.Cols)
+	if a.Cols == 0 || b.Cols == 0 {
+		return dst
+	}
 	for i := 0; i < a.Rows; i++ {
-		arow := a.Row(i)
-		orow := dst.Row(i)
-		for z, av := range arow {
-			if av == 0 {
-				continue
-			}
-			brow := b.Row(z)
-			for j, bv := range brow {
-				orow[j] += av * bv
-			}
-		}
+		matMulRow(dst.Row(i), a.Row(i), b)
 	}
 	return dst
+}
+
+// matMulRowFrom is the scalar loop of MatMulInto over output columns
+// [lo, len(o)) of one row.
+func matMulRowFrom(o, arow []float32, b *Matrix, lo int) {
+	if lo >= len(o) {
+		return
+	}
+	o = o[lo:]
+	for z, av := range arow {
+		if av == 0 {
+			continue
+		}
+		brow := b.Row(z)[lo:]
+		brow = brow[:len(o)]
+		for j, bv := range brow {
+			o[j] += av * bv
+		}
+	}
 }
 
 // MatMulTransB computes a × bᵀ, the natural layout for QKᵀ where K is
@@ -249,42 +267,63 @@ func (m *Matrix) Add(b *Matrix) *Matrix {
 // stability, matching production attention kernels.
 func Softmax(m *Matrix) *Matrix {
 	for i := 0; i < m.Rows; i++ {
-		row := m.Row(i)
-		maxv := float32(math.Inf(-1))
-		for _, v := range row {
-			if v > maxv {
-				maxv = v
-			}
-		}
-		var sum float32
-		for j, v := range row {
-			e := float32(math.Exp(float64(v - maxv)))
-			row[j] = e
-			sum += e
-		}
-		if sum == 0 {
-			continue
-		}
-		inv := 1 / sum
-		for j := range row {
-			row[j] *= inv
-		}
+		softmaxRow(m.Row(i))
 	}
 	return m
 }
 
-// CausalMask sets entries above the main diagonal offset to -inf so that
-// token i attends only to tokens 0..i+offset. offset is the number of
-// cached tokens preceding the first row's token (0 during prefill).
-func CausalMask(m *Matrix, offset int) *Matrix {
-	negInf := float32(math.Inf(-1))
+// CausalSoftmax is the causal attention softmax of a score matrix whose
+// row i is query position offset+i over key positions 0..m.Cols-1: it
+// multiplies row i's live prefix — columns 0..i+offset — by scale,
+// softmaxes it, and sets every column past it to 0. The result is
+// bit-identical to scaling the whole matrix, masking the future with
+// −∞ and applying Softmax (a masked exp is an exact 0, and adding 0 to
+// the row sum changes nothing), without touching the masked half. It
+// returns m.
+func CausalSoftmax(m *Matrix, offset int, scale float32) *Matrix {
 	for i := 0; i < m.Rows; i++ {
 		row := m.Row(i)
-		for j := i + offset + 1; j < m.Cols; j++ {
-			row[j] = negInf
+		live := row[:LiveCols(i, offset, m.Cols)]
+		for j := range live {
+			live[j] *= scale
 		}
+		softmaxRow(live)
+		clear(row[len(live):])
 	}
 	return m
+}
+
+// LiveCols returns how many of n key columns query row i of a causal
+// product attends: the columns 0..i+offset, capped at n. A negative
+// offset means no mask (a decode step attends to everything).
+func LiveCols(i, offset, n int) int {
+	if offset < 0 || i+offset+1 > n {
+		return n
+	}
+	return i + offset + 1
+}
+
+// softmaxRow applies the max-shifted softmax to one row in place.
+func softmaxRow(row []float32) {
+	maxv := float32(math.Inf(-1))
+	for _, v := range row {
+		if v > maxv {
+			maxv = v
+		}
+	}
+	var sum float32
+	for j, v := range row {
+		e := float32(math.Exp(float64(v - maxv)))
+		row[j] = e
+		sum += e
+	}
+	if sum == 0 {
+		return
+	}
+	inv := 1 / sum
+	for j := range row {
+		row[j] *= inv
+	}
 }
 
 // RandNormal fills a new rows x cols matrix with N(0, stddev²) values from

@@ -209,15 +209,37 @@ func TestSoftmaxShiftInvariance(t *testing.T) {
 	}
 }
 
-func TestCausalMask(t *testing.T) {
-	m := New(3, 5)
-	CausalMask(m, 2)
-	// Row 0 attends to 0..2; row 1 to 0..3; row 2 to all.
-	if !math.IsInf(float64(m.At(0, 3)), -1) || !math.IsInf(float64(m.At(1, 4)), -1) {
-		t.Error("mask did not set -inf above the offset diagonal")
-	}
-	if math.IsInf(float64(m.At(0, 2)), -1) || math.IsInf(float64(m.At(2, 4)), -1) {
-		t.Error("mask clobbered allowed positions")
+// CausalSoftmax must be bit-identical to scaling the whole matrix,
+// masking everything past row i's column i+offset with −∞ and applying
+// Softmax — and must write exact +0 past the diagonal.
+func TestCausalSoftmax(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	const scale = float32(0.17677669)
+	for _, c := range []struct{ rows, cols, offset int }{
+		{3, 5, 2}, {5, 5, 0}, {1, 9, 8}, {7, 20, 13}, {4, 6, 300}, {6, 6, -1}, {0, 4, 0},
+	} {
+		m := RandNormal(rng, c.rows, c.cols, 3)
+		want := m.Clone().Scale(scale)
+		if c.offset >= 0 {
+			for i := 0; i < want.Rows; i++ {
+				row := want.Row(i)
+				for j := i + c.offset + 1; j < len(row); j++ {
+					row[j] = float32(math.Inf(-1))
+				}
+			}
+		}
+		Softmax(want)
+		got := CausalSoftmax(m, c.offset, scale)
+		for i, v := range got.Data {
+			if math.Float32bits(v) != math.Float32bits(want.Data[i]) {
+				t.Fatalf("%+v: element %d = %v, want %v", c, i, v, want.Data[i])
+			}
+		}
+		for i := 0; i < got.Rows; i++ {
+			if live := LiveCols(i, c.offset, c.cols); c.offset >= 0 && live != min(c.cols, i+c.offset+1) {
+				t.Fatalf("%+v: LiveCols(%d) = %d", c, i, live)
+			}
+		}
 	}
 }
 
