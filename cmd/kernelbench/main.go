@@ -170,20 +170,47 @@ func main() {
 		rep.Speedups[fmt.Sprintf("prefill_pi%d", pi)] = scalar.NsPerOp / fast.NsPerOp
 	}
 
+	// The quantizer as HACK runs it: keyed stochastic rounding of Q and K
+	// along columns, of V along rows, and of a prefill's causal P — the
+	// Π-aligned columns of a 394-token score matrix, past-diagonal
+	// partitions skipped.
+	keys := quant.StreamKeys(3)
 	for _, bench := range []struct {
 		name     string
 		bits, pi int
-	}{{"Quantize/512x128_8bit/pi32", 8, 32}, {"Quantize/512x128_2bit/pi128", 2, 128}} {
+		key      uint64
+		axis     quant.Axis
+	}{
+		{"Quantize/Q_512x128_8bit/pi32", 8, 32, keys.Q, quant.AlongCols},
+		{"Quantize/K_512x128_2bit/pi128", 2, 128, keys.K, quant.AlongCols},
+		{"Quantize/V_rows_512x128_2bit/pi64", 2, 64, keys.V, quant.AlongRows},
+	} {
 		bench := bench
 		rng := rand.New(rand.NewSource(3))
 		m := tensor.RandNormal(rng, 512, 128, 1)
-		cfg := quant.Config{Bits: bench.bits, Partition: bench.pi, Rounding: quant.NearestRounding}
+		cfg := quant.Config{Bits: bench.bits, Partition: bench.pi, Key: bench.key}
 		var qt *quant.Tensor
 		add(measure(bench.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				var err error
-				qt, err = quant.QuantizeInto(qt, m, quant.AlongCols, cfg)
+				qt, err = quant.QuantizeInto(qt, m, bench.axis, cfg)
+				if err != nil {
+					b.Fatal(err)
+				}
+			}
+		}))
+	}
+	{
+		const l, pi = 394, 64
+		s := tensor.CausalSoftmax(tensor.RandNormal(rand.New(rand.NewSource(3)), l, l, 1), 0, 1)
+		cfg := quant.Config{Bits: 8, Partition: pi, Key: keys.P}
+		var qt *quant.Tensor
+		add(measure(fmt.Sprintf("Quantize/P_causal_%dx%d_8bit/pi%d", l, l, pi), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				var err error
+				qt, err = quant.QuantizeCausalInto(qt, s, l/pi*pi, 0, cfg)
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -484,7 +484,7 @@ func (b *HACKBackend) newHead(headDim int, build func(kvcache.Config) (*kvcache.
 		return nil, err
 	}
 	return &hackHead{cfg: b.cfg, c: c, keys: keys,
-		s: &tensor.Matrix{}, pFull: &tensor.Matrix{}, pvOut: &tensor.Matrix{},
+		s: &tensor.Matrix{}, pvOut: &tensor.Matrix{},
 		pTail: &tensor.Matrix{}, tailOut: &tensor.Matrix{}, out: &tensor.Matrix{}}, nil
 }
 
@@ -521,10 +521,10 @@ type hackHead struct {
 
 	// Per-call scratch, reused across calls so a decode step allocates
 	// nothing at steady state (see Head): the quantized Q and P tensors,
-	// the score matrix, the P-slice copies, the partial products, and
-	// the output accumulator.
+	// the score matrix, the FP16-tail slice of P, the partial products,
+	// and the output accumulator.
 	qq, pq       *quant.Tensor
-	s, pFull     *tensor.Matrix
+	s            *tensor.Matrix
 	pvOut, pTail *tensor.Matrix
 	tailOut, out *tensor.Matrix
 }
@@ -570,15 +570,15 @@ func (h *hackHead) attend(q *tensor.Matrix, maskOffset int, st *Stats) (*tensor.
 	liveFull := int64(0)
 	if nFull > 0 {
 		// P row i is query position row0+i and its columns are key
-		// positions, so no draw depends on the prompt's length.
-		pFull := s.SliceColsInto(h.pFull, 0, nFull)
-		pq, err := quant.QuantizeCausalInto(h.pq, pFull, maskOffset, h.qCfg(h.keys.P, row0))
+		// positions, so no draw depends on the prompt's length. The
+		// quantizer reads P's first nFull columns in place.
+		pq, err := quant.QuantizeCausalInto(h.pq, s, nFull, maskOffset, h.qCfg(h.keys.P, row0))
 		if err != nil {
 			return nil, err
 		}
 		h.pq = pq
-		st.QuantOps += 2 * liveCells(pFull.Rows, maskOffset, nFull, h.cfg.Pi)
-		liveFull = liveCells(pFull.Rows, maskOffset, nFull, 1)
+		st.QuantOps += 2 * liveCells(s.Rows, maskOffset, nFull, h.cfg.Pi)
+		liveFull = liveCells(s.Rows, maskOffset, nFull, 1)
 		st.addOps(hack.CausalMatMulInto(h.pvOut, pq, h.c.VFull, maskOffset, h.opts()))
 		out.Add(h.pvOut)
 	}

@@ -121,8 +121,24 @@ func ToFloat32(h Bits) float32 {
 }
 
 // Round quantizes f through binary16 and back, returning the value an
-// FP16 store/load pair would produce.
-func Round(f float32) float32 { return ToFloat32(FromFloat32(f)) }
+// FP16 store/load pair would produce. Every |f| in [2⁻¹⁴, 2¹⁶) — the
+// quantizer's metadata and the FP16 V rows, all but always — rounds in
+// place: its 23-bit mantissa rounds to 10 bits, ties to even, a carry
+// running into the exponent, and anything past 65504 becomes ±Inf, which
+// is what the conversion pair does to it. The rest (subnormal halves,
+// zeros, Inf, NaN) takes the conversion pair.
+func Round(f float32) float32 {
+	b := math.Float32bits(f)
+	if e := b >> 23 & 0xff; e-(expBias32-14) < 30 {
+		b += 0xfff + b>>13&1
+		b &^= 0x1fff
+		if b&0x7fffffff > 0x477fe000 { // past 65504
+			b = b&0x80000000 | 0x7f800000
+		}
+		return math.Float32frombits(b)
+	}
+	return ToFloat32(FromFloat32(f))
+}
 
 // MaxFinite returns the largest finite binary16 value as a float32.
 func MaxFinite() float32 { return maxFiniteFloat }

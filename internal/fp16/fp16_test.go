@@ -106,6 +106,34 @@ func TestRoundTripAllBits(t *testing.T) {
 	}
 }
 
+// TestRoundMatchesConversionPair holds Round to ToFloat32(FromFloat32(f))
+// bit for bit on every exponent from just below the smallest normal half
+// to just past the largest, the zero, subnormal and Inf/NaN exponents,
+// both signs, every pattern of the 14 low mantissa bits (the rounding
+// remainder and the kept LSB that breaks ties) and several high mantissa
+// patterns, among them all ones (the carry into the exponent and the
+// overflow past 65504).
+func TestRoundMatchesConversionPair(t *testing.T) {
+	exps := []uint32{0, 1, 100, 254, 255}
+	for e := uint32(110); e <= 145; e++ {
+		exps = append(exps, e)
+	}
+	for _, e := range exps {
+		for _, hi := range []uint32{0, 1, 0x0aa, 0x155, 0x1fe, 0x1ff} {
+			for lo := uint32(0); lo < 1<<14; lo++ {
+				for _, sign := range []uint32{0, 1 << 31} {
+					b := sign | e<<23 | hi<<14 | lo
+					f := math.Float32frombits(b)
+					got, want := Round(f), ToFloat32(FromFloat32(f))
+					if math.Float32bits(got) != math.Float32bits(want) {
+						t.Fatalf("Round(%#08x) = %#08x, want %#08x", b, math.Float32bits(got), math.Float32bits(want))
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestRoundErrorBound: property test that FP16 rounding error is within
 // half a ULP for in-range normal values.
 func TestRoundErrorBound(t *testing.T) {

@@ -38,8 +38,9 @@ func staleTensor(n int) *quant.Tensor {
 //
 //   - CausalMatMulTransBInto equals MatMulTransBInto with every score
 //     past row i's column i+offset zeroed;
-//   - QuantizeCausalInto of a causal probability matrix equals
-//     QuantizeInto of it, codes, metadata and sums;
+//   - QuantizeCausalInto of a causal probability matrix's first nFull
+//     columns, read in place, equals QuantizeInto of a copy of them,
+//     codes, metadata and sums;
 //   - CausalMatMulInto of those probabilities equals MatMulInto.
 //
 // It covers Π ∈ {32, 64, 128}, offsets on both sides of a partition
@@ -74,9 +75,8 @@ func TestCausalKernelsMatchFullThenMask(t *testing.T) {
 					continue
 				}
 				s := tensor.CausalSoftmax(tensor.RandNormal(rng, rows, keys, 2), offset, 1)
-				p := s.SliceCols(0, nFull)
-				full := quant.MustQuantize(p, quant.AlongCols, qCfg)
-				causal, err := quant.QuantizeCausalInto(staleTensor(rows*nFull), p, offset, qCfg)
+				full := quant.MustQuantize(s.SliceCols(0, nFull), quant.AlongCols, qCfg)
+				causal, err := quant.QuantizeCausalInto(staleTensor(rows*nFull), s, nFull, offset, qCfg)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -132,7 +132,7 @@ func TestCausalOpsCountLiveTriangle(t *testing.T) {
 	// P·V: an L×L probability matrix (offset 0); row i multiplies
 	// ⌊i/Π⌋+1 partitions, Π·k(k+1)/2 partition-rows in all.
 	s := tensor.CausalSoftmax(tensor.RandNormal(rng, L, L, 1), 0, 1)
-	pq, err := quant.QuantizeCausalInto(nil, s, 0, quant.Config{Bits: 8, Partition: pi, Rounding: quant.NearestRounding})
+	pq, err := quant.QuantizeCausalInto(nil, s, L, 0, quant.Config{Bits: 8, Partition: pi, Rounding: quant.NearestRounding})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,14 +12,53 @@
 // Codes are held one-per-byte (INT8) for computation — mirroring the
 // paper's Triton constraint that the GPU computes on INT8 — and can be
 // bit-packed with Pack for wire transfer and cache-size accounting.
+//
+// # SIMD path
+//
+// HACK quantizes K and V on ingest and Q and P inside every prefill and
+// decode step, so the quantizer is a kernel. On amd64 with AVX2 (the
+// internal/cpufeat probe) it runs as one AVX2 kernel family in
+// encode_amd64.s: a min/max sweep, then an encoder that rounds eight
+// elements per step — eight consecutive elements of an along-cols
+// partition (P, Q, K), or one row of eight columns of an along-rows one
+// (V). Along columns one call covers every partition that lies end to
+// end with the last — a P row's live partitions, a K or Q head's
+// one-partition rows. The pure-Go loops in encode.go stay as the
+// portable path, the sub-vector tails, and the reference the tests
+// compare against, and the two produce the same bits: every code, Min,
+// Scale and Sums value, hence every logit, token and KV frame. Each step
+// repeats the scalar one exactly:
+//
+//   - x−min is a float32 subtraction, widened to float64 (exact), and
+//     divided by the float64 scale with a real division: a multiply by
+//     the reciprocal rounds twice and moves codes that sit on a step.
+//   - Each clamp is one compare-and-select, VMAXPD(0, q) = 0 > q ? 0 : q
+//     and VMINPD(2^b−1, q) = 2^b−1 < q ? 2^b−1 : q, so a NaN or −0
+//     quotient passes through it as it passes the scalar ifs.
+//   - floor is VROUNDPD; the fraction q−⌊q⌋ is exact.
+//   - splitmix64 runs in 64-bit lanes, each 64-bit multiply assembled
+//     from three 32×32 VPMULUDQ products, and its 53-bit output becomes
+//     the uniform exactly through the exponent fields of 2³¹ and 2⁻¹.
+//   - u < q−⌊q⌋ is compared in float64.
+//   - Nothing is fused: a fused multiply-add rounds once where the
+//     scalar code rounds twice, so no FMA instruction appears.
+//   - A code is truncated to int32 and packed with unsigned saturation:
+//     the NaN quotient's 0x80000000 becomes 0, the low byte the scalar
+//     uint8 conversion keeps.
+//
+// The min/max sweep keeps the scalar loop's first-wins rule: an element
+// replaces the running min (max) only when strictly below (above) it, so
+// between +0 and −0 the earlier one is stored, sign bit and all. Along
+// columns the eight lanes reduce to one value, which fixes everything
+// but the sign of a zero, so a zero min or max is re-read from the
+// partition's first zero element. Along rows each lane is one column's
+// own sweep.
 package quant
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 
-	"github.com/hackkv/hack/internal/fp16"
 	"github.com/hackkv/hack/internal/tensor"
 )
 
@@ -115,7 +154,7 @@ type Keys struct{ K, V, Q, P uint64 }
 // every cached page and every shipped frame with it.
 func StreamKeys(seed int64) Keys {
 	key := func(op uint64) uint64 {
-		if k := splitmix64(uint64(seed) + 0x9e3779b97f4a7c15*op); k != 0 {
+		if k := splitmix64(uint64(seed) + phi*op); k != 0 {
 			return k
 		}
 		return 1 // 0 means unset
@@ -123,13 +162,27 @@ func StreamKeys(seed int64) Keys {
 	return Keys{K: key(1), V: key(2), Q: key(3), P: key(4)}
 }
 
+// phi is splitmix64's counter increment. Element (row, col)'s counter is
+// key + phi·(row<<32 | col + 1), so the next column's counter is phi
+// further on and the next row's phiRow further on.
+const (
+	phi    = 0x9e3779b97f4a7c15
+	phiRow = 0x7f4a7c1500000000 // phi<<32 mod 2⁶⁴
+)
+
 // Uniform returns the rounding uniform on [0, 1) of element (row, col)
 // under stream key: the splitmix64 finalizer over the element's
 // position row<<32 | col, counted from the key.
-func Uniform(key uint64, row, col int) float64 {
-	pos := uint64(row)<<32 | uint64(uint32(col))
-	return float64(splitmix64(key+0x9e3779b97f4a7c15*(pos+1))>>11) / (1 << 53)
+func Uniform(key uint64, row, col int) float64 { return uniform(counter(key, row, col)) }
+
+// counter is the splitmix64 input that rounds element (row, col).
+func counter(key uint64, row, col int) uint64 {
+	return key + phi*(uint64(row)<<32|uint64(uint32(col))+1)
 }
+
+// uniform maps a counter to its rounding uniform: the top 53 bits of its
+// splitmix64 hash, scaled into [0, 1).
+func uniform(h uint64) float64 { return float64(splitmix64(h)>>11) / (1 << 53) }
 
 // splitmix64 is the splitmix64 output finalizer.
 func splitmix64(z uint64) uint64 {
@@ -217,40 +270,42 @@ func Quantize(m *tensor.Matrix, axis Axis, cfg Config) (*Tensor, error) {
 // loop: quantizing the 1×d_h query into the same tensor every step costs
 // no allocations at steady state.
 func QuantizeInto(t *Tensor, m *tensor.Matrix, axis Axis, cfg Config) (*Tensor, error) {
-	return quantizeInto(t, m, axis, -1, cfg)
+	return quantizeInto(t, m, axis, m.Cols, -1, cfg)
 }
 
-// QuantizeCausalInto is QuantizeInto along columns for a causally masked
-// matrix — row i zero past column i+offset, as tensor.CausalSoftmax
-// leaves a prefill's attention probabilities. Partitions that lie
+// QuantizeCausalInto is QuantizeInto along columns of the first cols
+// columns of a causally masked matrix — row i zero past column i+offset,
+// as tensor.CausalSoftmax leaves a prefill's attention probabilities. It
+// reads those columns in place at m's own row stride, and the result is
+// the cols-column tensor QuantizeInto makes of them. Partitions that lie
 // entirely past the diagonal are written without being scanned as what
 // QuantizeInto makes of an all-zero partition: zero codes, min, scale
 // and sum (a degenerate partition draws no rounding uniforms either). A
 // negative offset quantizes every partition.
-func QuantizeCausalInto(t *Tensor, m *tensor.Matrix, offset int, cfg Config) (*Tensor, error) {
-	return quantizeInto(t, m, AlongCols, offset, cfg)
+func QuantizeCausalInto(t *Tensor, m *tensor.Matrix, cols, offset int, cfg Config) (*Tensor, error) {
+	if cols < 0 || cols > m.Cols {
+		return nil, fmt.Errorf("quant: causal quantize of %d columns of a %d-column matrix", cols, m.Cols)
+	}
+	return quantizeInto(t, m, AlongCols, cols, offset, cfg)
 }
 
-func quantizeInto(t *Tensor, m *tensor.Matrix, axis Axis, offset int, cfg Config) (*Tensor, error) {
+// quantizeInto encodes the first cols columns of m (all of them along
+// rows).
+func quantizeInto(t *Tensor, m *tensor.Matrix, axis Axis, cols, offset int, cfg Config) (*Tensor, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	axisLen := m.Cols
-	nvec := m.Rows
+	axisLen, nvec := cols, m.Rows
 	if axis == AlongRows {
-		axisLen = m.Rows
-		nvec = m.Cols
+		axisLen, nvec = m.Rows, cols
 	}
 	nblocks := (axisLen + cfg.Partition - 1) / cfg.Partition
-	if axisLen == 0 {
-		nblocks = 0
-	}
 	if t == nil {
 		t = &Tensor{}
 	}
-	t.Rows, t.Cols = m.Rows, m.Cols
+	t.Rows, t.Cols = m.Rows, cols
 	t.Axis, t.Bits, t.Pi, t.NBlocks = axis, cfg.Bits, cfg.Partition, nblocks
-	t.Codes = tensor.Grow(t.Codes, m.Rows*m.Cols)
+	t.Codes = tensor.Grow(t.Codes, m.Rows*cols)
 	t.Min = tensor.Grow(t.Min, nvec*nblocks)
 	t.Scale = tensor.Grow(t.Scale, nvec*nblocks)
 	t.Sums = tensor.Grow(t.Sums, nvec*nblocks)
@@ -263,21 +318,30 @@ func quantizeInto(t *Tensor, m *tensor.Matrix, axis Axis, offset int, cfg Config
 	if cfg.RNG != nil {
 		r.key = cfg.RNG.Uint64()
 	}
+	if axis == AlongRows {
+		for b := 0; b < nblocks; b++ {
+			r.quantizeRows(t, m, b)
+		}
+		return t, nil
+	}
+	var batch colsBatch
 	for v := 0; v < nvec; v++ {
 		live := nblocks
 		if offset >= 0 {
 			live = (tensor.LiveCols(v, offset, axisLen) + cfg.Partition - 1) / cfg.Partition
 		}
-		for b := 0; b < live; b++ {
-			quantizeBlock(t, m, v, b, &r)
-		}
-		for b := live; b < nblocks; b++ {
+		for b := 0; b < nblocks; b++ {
 			lo, hi := t.BlockRange(b)
-			clear(t.Codes[v*t.Cols+lo : v*t.Cols+hi])
 			mi := t.metaIndex(v, b)
+			if b < live {
+				r.addCols(&batch, t, m.Data, v*m.Cols+lo, v*cols+lo, mi, hi-lo, counter(r.key, r.row0+v, lo))
+				continue
+			}
+			clear(t.Codes[v*cols+lo : v*cols+hi])
 			t.Min[mi], t.Scale[mi], t.Sums[mi] = 0, 0, 0
 		}
 	}
+	r.flushCols(&batch, t, m.Data)
 	return t, nil
 }
 
@@ -289,94 +353,6 @@ func MustQuantize(m *tensor.Matrix, axis Axis, cfg Config) *Tensor {
 		panic(err)
 	}
 	return t
-}
-
-// quantizeBlock encodes one (vector, block) partition. The element walk
-// is a pair of direct loops per axis (no per-element closures): one
-// min/max sweep to fix the block's (m, s), then one encode sweep that
-// writes the codes and accumulates the SE code sum as it goes.
-func quantizeBlock(t *Tensor, m *tensor.Matrix, v, b int, r *rounder) {
-	lo, hi := t.BlockRange(b)
-	minV := float32(math.Inf(1))
-	maxV := float32(math.Inf(-1))
-	if t.Axis == AlongCols {
-		for _, x := range m.Row(v)[lo:hi] {
-			if x < minV {
-				minV = x
-			}
-			if x > maxV {
-				maxV = x
-			}
-		}
-	} else {
-		for i := lo; i < hi; i++ {
-			x := m.Data[i*t.Cols+v]
-			if x < minV {
-				minV = x
-			}
-			if x > maxV {
-				maxV = x
-			}
-		}
-	}
-	// The paper stores m and s in FP16 (§6); round them the same way so
-	// that prefill and decode instances agree bit-for-bit.
-	scale := fp16.Round((maxV - minV) / float32(r.maxCode))
-	minV = fp16.Round(minV)
-	mi := t.metaIndex(v, b)
-	t.Min[mi] = minV
-	t.Scale[mi] = scale
-
-	var sum int32
-	if t.Axis == AlongCols {
-		base := v * t.Cols
-		row := m.Row(v)
-		for j := lo; j < hi; j++ {
-			code := r.code(row[j], minV, scale, v, j)
-			t.Codes[base+j] = code
-			sum += int32(code)
-		}
-	} else {
-		for i := lo; i < hi; i++ {
-			code := r.code(m.Data[i*t.Cols+v], minV, scale, i, v)
-			t.Codes[i*t.Cols+v] = code
-			sum += int32(code)
-		}
-	}
-	t.Sums[mi] = sum
-}
-
-// rounder is one quantization pass's rounding state.
-type rounder struct {
-	stochastic bool
-	key        uint64
-	row0       int
-	maxCode    float64
-}
-
-// code maps element (row, col) of the pass, value x, onto its block's
-// code grid. Stochastic rounding looks up the element's uniform only
-// when its code is fractional, so degenerate blocks (and the exact
-// zeros of masked attention scores) cost no hashing.
-func (r *rounder) code(x, minV, scale float32, row, col int) uint8 {
-	if !(scale > 0) { // degenerate or non-finite block → code 0
-		return 0
-	}
-	q := float64(x-minV) / float64(scale)
-	if q < 0 {
-		q = 0
-	}
-	if q > r.maxCode {
-		q = r.maxCode
-	}
-	if !r.stochastic {
-		return uint8(math.Round(q))
-	}
-	c := math.Floor(q)
-	if f := q - c; f > 0 && Uniform(r.key, r.row0+row, col) < f {
-		c++
-	}
-	return uint8(c)
 }
 
 // Dequantize reconstructs the matrix as s·code + m per element. This is
