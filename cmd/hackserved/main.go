@@ -33,15 +33,9 @@
 // quantized KV pages from completed prefills are kept under an N-byte
 // budget, and a request sharing a cached prompt prefix skips prefill
 // over the matched span (hit/miss/bytes-saved counters appear under
-// "prefix_cache" in /metrics). Adding -spec-k K (K >= 2) enables
-// speculative decoding: a cheap draft pass (-spec-draft picks its
-// compression class) proposes up to K-1 tokens per step and the serving
-// method's kernels verify the window in one batched attention call,
-// with acceptance counters under "speculation" in /metrics; token
-// streams stay byte-identical to the non-speculative path per
-// (prompt, seed). With
-// -role the daemon becomes one node of a true disaggregated deployment
-// connected over the KV wire protocol:
+// "prefix_cache" in /metrics). With -role the daemon becomes one node
+// of a true disaggregated deployment connected over the KV wire
+// protocol:
 //
 //	hackserved -role prefill -wire 127.0.0.1:9101 -addr 127.0.0.1:8081
 //	hackserved -role decode  -wire 127.0.0.1:9201 -addr 127.0.0.1:8082
@@ -144,8 +138,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		decodePar = fs.Int("decode-par", 0, "decode-step goroutine fan-out (0 = size to batch, 1 = serial)")
 		seed      = fs.Int64("seed", 1, "model weight seed")
 		prefixB   = fs.Int64("prefix-cache-bytes", 0, "shared-prefix KV cache budget in bytes (0 disables; local role only, since the prefill node has no prefix tier)")
-		specK     = fs.Int("spec-k", 0, "speculative decoding window size (0/1 disable; local role only)")
-		specDraft = fs.String("spec-draft", "", "speculative draft compression class (default "+hack.DefaultDraftClass+"): "+strings.Join(hack.DraftClasses(), ", "))
 		drainFor  = fs.Duration("drain-timeout", 30*time.Second, "graceful-drain budget after SIGTERM")
 		role      = fs.String("role", "local", "serving role: "+strings.Join(hack.Roles(), ", "))
 		wire      = fs.String("wire", "127.0.0.1:0", "KV wire listen address (prefill/decode roles)")
@@ -171,7 +163,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if err != nil {
 		return usageError{err: err}
 	}
-	if *workers < 0 || *batch < 0 || *queueCap < 0 || *maxNew < 0 || *decodePar < 0 || *prefixB < 0 || *specK < 0 {
+	if *workers < 0 || *batch < 0 || *queueCap < 0 || *maxNew < 0 || *decodePar < 0 || *prefixB < 0 {
 		return usageError{err: fmt.Errorf("sizing flags must be >= 0")}
 	}
 	if *drainFor <= 0 {
@@ -183,19 +175,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 	if *prefixB > 0 && r != hack.RoleLocal {
 		return usageError{err: fmt.Errorf("-prefix-cache-bytes requires the local role (the prefill node has no prefix tier)")}
-	}
-	if (*specK > 1 || *specDraft != "") && r != hack.RoleLocal {
-		return usageError{err: fmt.Errorf("-spec-k/-spec-draft require the local role (disaggregated decode replicas resume remotely-prefilled sessions, which cannot host a draft)")}
-	}
-	if *specDraft != "" {
-		valid := false
-		for _, n := range hack.DraftClasses() {
-			valid = valid || n == *specDraft
-		}
-		if !valid {
-			return usageError{err: fmt.Errorf("unknown draft class %q (valid: %s)",
-				*specDraft, strings.Join(hack.DraftClasses(), ", "))}
-		}
 	}
 	if *chaosSc != "" {
 		if r != hack.RoleRouter {
@@ -222,8 +201,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 			MaxNewTokens:      *maxNew,
 			DecodeParallelism: *decodePar,
 			PrefixCacheBytes:  *prefixB,
-			SpecK:             *specK,
-			SpecDraft:         *specDraft,
 		}),
 	}
 	if r != hack.RoleLocal {

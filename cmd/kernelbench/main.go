@@ -112,19 +112,21 @@ func main() {
 		rep.Speedups[fmt.Sprintf("decode_pi%d", pi)] = scalar.NsPerOp / fast.NsPerOp
 	}
 
-	// Speculative-decoding batched verify: scoring a k-token draft window
-	// in one k-row Q·Kᵀ call versus the k single-row calls sequential
-	// decode would issue over the same cache. The batched call hits the
-	// column-outer verify tiling and the four-row register-blocked MADD
-	// kernel, so each loaded cache row is scored against every pending
-	// draft query. The speedup is per verify window, batch over k singles.
+	// The multi-row kernel tile: scoring k query rows against a long
+	// cache in one k-row Q·Kᵀ call versus k single-row calls over the
+	// same cache. The k-row call takes the column-outer tiling and the
+	// register-blocked multi-row MADD kernels (verifyTile), so each loaded
+	// cache row is scored against every resident query row. The speedup
+	// is one k-row call over k singles. The SpecVerify names and the
+	// spec_decode key stay as they are so committed BENCH_kernels.json
+	// baselines still match.
 	{
-		const specK = 8
+		const k = 8
 		pi := 128
 		rng := rand.New(rand.NewSource(6))
-		qs := quantize(rng, specK, 128, 8, pi, quant.AlongCols)
+		qs := quantize(rng, k, 128, 8, pi, quant.AlongCols)
 		kT := quantize(rng, decodeL, 128, 2, pi, quant.AlongCols)
-		rows := make([]*quant.Tensor, specK)
+		rows := make([]*quant.Tensor, k)
 		for i := range rows {
 			var err error
 			rows[i], err = qs.SliceRows(i, i+1)
@@ -133,13 +135,13 @@ func main() {
 			}
 		}
 		dst := &tensor.Matrix{}
-		batch := add(measure(fmt.Sprintf("SpecVerify/batch_%dx128x%d/pi%d", specK, decodeL, pi), func(b *testing.B) {
+		batch := add(measure(fmt.Sprintf("SpecVerify/batch_%dx128x%d/pi%d", k, decodeL, pi), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				hack.MatMulTransBInto(dst, qs, kT, opt)
 			}
 		}))
-		single := add(measure(fmt.Sprintf("SpecVerify/%dx_single_1x128x%d/pi%d", specK, decodeL, pi), func(b *testing.B) {
+		single := add(measure(fmt.Sprintf("SpecVerify/%dx_single_1x128x%d/pi%d", k, decodeL, pi), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				for _, q := range rows {
@@ -250,7 +252,7 @@ func main() {
 	if err := f.Close(); err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("\nspeedups vs scalar: decode pi128 %.2fx, pi32 %.2fx; prefill pi128 %.2fx, pi32 %.2fx; spec verify %.2fx\n",
+	fmt.Printf("\nspeedups vs scalar: decode pi128 %.2fx, pi32 %.2fx; prefill pi128 %.2fx, pi32 %.2fx; multi-row tile %.2fx\n",
 		rep.Speedups["decode_pi128"], rep.Speedups["decode_pi32"],
 		rep.Speedups["prefill_pi128"], rep.Speedups["prefill_pi32"],
 		rep.Speedups["spec_decode"])

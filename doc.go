@@ -102,21 +102,6 @@
 // Requires a homomorphic method with requantization elimination, and
 // composes with the local role only (the prefill node has no tier).
 //
-// WithSpeculation(k, class) (or ServeConfig.SpecK/SpecDraft; -spec-k
-// and -spec-draft on the daemon) enables speculative decoding: a cheap
-// draft pass from a coarser quantization class (DraftClasses lists the
-// named classes) proposes up to k−1 tokens per step, and the target
-// model verifies the window in one batched kernel call — a k-row Q·Kᵀ
-// against the cache instead of k single-row decodes, served by a
-// dedicated register-blocked verify path (~2× the single-row calls it
-// replaces, the spec_decode baseline in BENCH_kernels.json). Rejected
-// suffixes roll back by dropping KV tail rows — the position-keyed
-// quantizer holds no stream state — so emitted streams stay
-// byte-identical to the non-speculative path per (prompt, seed). Window counts, draft acceptance and
-// per-request acceptance percentiles appear as Snapshot.Speculation;
-// sim.Config's SpecK/SpecAcceptance/SpecDraftCost model the same
-// algebra for capacity planning. Local role only.
-//
 // # Disaggregated serving
 //
 // WithRole splits that runtime across real processes over a TCP KV

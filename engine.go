@@ -116,8 +116,6 @@ type Engine struct {
 	probe             func(ProbeEvent)
 	serveCfg          ServeConfig
 	prefixBytes       int64
-	specK             int
-	specDraft         string
 	role              Role
 	peerPrefills      []string
 	peerDecodes       []string

@@ -417,8 +417,8 @@ type HACKConfig struct {
 }
 
 // transferable reports why heads of this configuration cannot move
-// their cache to another head — wire export and restore, prefix pages,
-// speculative rollback — or nil when they can.
+// their cache to another head — wire export and restore, prefix pages —
+// or nil when they can.
 func (c HACKConfig) transferable() error {
 	if !c.RequantizationElimination {
 		return fmt.Errorf("attention: cache transfer requires RQE (the quantized-tail ablation does not ship)")

@@ -34,25 +34,28 @@ func staleTensor(n int) *quant.Tensor {
 }
 
 // TestCausalKernelsMatchFullThenMask pins the live-triangle prefill
-// kernels against computing everything and masking after:
+// kernels against the scalar reference computed whole and masked after:
 //
-//   - CausalMatMulTransBInto equals MatMulTransBInto with every score
+//   - CausalMatMulTransBInto equals MatMulTransBScalar with every score
 //     past row i's column i+offset zeroed;
 //   - QuantizeCausalInto of a causal probability matrix's first nFull
 //     columns, read in place, equals QuantizeInto of a copy of them,
 //     codes, metadata and sums;
-//   - CausalMatMulInto of those probabilities equals MatMulInto.
+//   - CausalMatMulInto of those probabilities equals MatMulScalar.
 //
 // It covers Π ∈ {32, 64, 128}, offsets on both sides of a partition
-// boundary and past the rows, row counts from one through 3Π (the verify
-// group widths and the row-outer path), head widths served by the
-// generic tile (32) and the AVX2 block tile (2Π), 8-bit KV for the
-// pure-Go dot, serial and parallel fan-out, and SE on and off.
+// boundary and past the rows, and row counts from one through 3Π. Up to
+// verifyRowsMax rows the AVX2 block tile runs multi-row groups of eight,
+// four and one (verifyTile): 4, 8 and 32 fill whole groups, 7 and 9
+// leave single rows, 13 and Π−1 = 31 end in 8+4+1 remainders; above it
+// the row-outer path runs. Head widths are served by the generic tile
+// (32) and the block tile (2Π), 8-bit KV takes the pure-Go dot, and
+// fan-out is serial and parallel, with SE on and off.
 func TestCausalKernelsMatchFullThenMask(t *testing.T) {
 	dst := &tensor.Matrix{}
 	for _, pi := range []int{32, 64, 128} {
 		for _, offset := range []int{0, 1, pi - 1, pi, pi + 1, 300} {
-			for _, rows := range []int{1, 2, 7, 9, 33, pi - 1, pi + 1, 3 * pi} {
+			for _, rows := range []int{1, 2, 4, 7, 8, 9, 13, verifyRowsMax, pi - 1, pi + 1, 3 * pi} {
 				rng := rand.New(rand.NewSource(int64(pi*100000 + offset*1000 + rows)))
 				keys := rows + offset
 				name := fmt.Sprintf("pi=%d offset=%d rows=%d", pi, offset, rows)
@@ -60,11 +63,11 @@ func TestCausalKernelsMatchFullThenMask(t *testing.T) {
 				for _, g := range []struct{ dh, kvBits int }{{32, 2}, {2 * pi, 2}, {32, 8}} {
 					qq := quant.MustQuantize(tensor.RandNormal(rng, rows, g.dh, 1), quant.AlongCols, qCfg)
 					kq := q(tensor.RandNormal(rng, keys, g.dh, 1), quant.AlongCols, g.kvBits, pi, rng)
+					want, _ := MatMulTransBScalar(qq, kq, DefaultOptions())
+					for i := 0; i < want.Rows; i++ {
+						clear(want.Row(i)[i+offset+1:])
+					}
 					for _, opt := range causalOptions() {
-						want, _ := MatMulTransB(qq, kq, opt)
-						for i := 0; i < want.Rows; i++ {
-							clear(want.Row(i)[i+offset+1:])
-						}
 						CausalMatMulTransBInto(dst, qq, kq, offset, opt)
 						sameBits(t, fmt.Sprintf("Q·Kᵀ %s dh=%d kv=%d %+v", name, g.dh, g.kvBits, opt), dst.Data, want.Data)
 					}
@@ -92,8 +95,8 @@ func TestCausalKernelsMatchFullThenMask(t *testing.T) {
 				}
 				for _, kvBits := range []int{2, 8} {
 					vq := q(tensor.RandNormal(rng, nFull, 32, 1), quant.AlongRows, kvBits, pi, rng)
+					want, _ := MatMulScalar(full, vq, DefaultOptions())
 					for _, opt := range causalOptions() {
-						want, _ := MatMul(full, vq, opt)
 						CausalMatMulInto(dst, causal, vq, offset, opt)
 						sameBits(t, fmt.Sprintf("P·V %s kv=%d %+v", name, kvBits, opt), dst.Data, want.Data)
 					}

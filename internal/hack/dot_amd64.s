@@ -186,7 +186,7 @@ chunk32x4:
 // one base pointer addresses the whole group. Each 32-byte chunk of the
 // shared signed row is loaded once and MADDed against all eight resident
 // rows, amortizing the shared-operand loads and loop control across the
-// full verify window. out is interleaved: block b's eight dots land at
+// whole row group. out is interleaved: block b's eight dots land at
 // out[8b..8b+7], in row order.
 TEXT ·dotU8MADDBlocks8(SB), NOSPLIT, $0-48
 	MOVQ u+0(FP), SI

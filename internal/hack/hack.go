@@ -200,7 +200,7 @@ func packMeta(ks *kernelScratch, min, scale []float32, sums []int32, n, nb int) 
 // kernel handles (its accumulator array lives on the tile's stack).
 const maxBlockedNB = 64
 
-// verifyRowsMax bounds the row count treated as a batch-verify shape
+// verifyRowsMax bounds the row count treated as a multi-row shape
 // (column-outer loop order in blockedTile): beyond it the query rows no
 // longer fit comfortably in L1 and the row-outer prefill order wins.
 const verifyRowsMax = 32
@@ -212,11 +212,11 @@ const packMinRows = 8
 
 // packAmortRows scales that threshold with the inner dimension: the
 // pack is a cache-hostile column-scatter over the whole Z×N panel, so
-// for long inner dimensions (a verify window's P·V over a deep cache)
-// it dwarfs the SIMD saving unless enough output rows share it.
-// Empirically the pack pays for itself at roughly one output row per
-// 128 columns of Z: an 8-row window over Z=2048 runs faster swept,
-// while a 32-row prefill over Z=256 is ~7× faster packed.
+// for long inner dimensions (a short resumed suffix's P·V over a deep
+// cached prefix) it dwarfs the SIMD saving unless enough output rows
+// share it. Empirically the pack pays for itself at roughly one output
+// row per 128 columns of Z: an 8-row product over Z=2048 runs faster
+// swept, while a 32-row prefill over Z=256 is ~7× faster packed.
 const packAmortRows = 128
 
 // sweepRows computes an M-row (M < packMinRows) product against B in its
@@ -515,12 +515,13 @@ func blockedTile(dst *tensor.Matrix, a *quant.Tensor, bCodes []uint8,
 	blockLen := float32(pi)
 	var accs [maxBlockedNB]int32
 	if rhi-rlo > 1 && rhi-rlo <= verifyRowsMax {
-		// Batch-verify shape: a handful of query rows against a long
-		// cache. The rows are processed in register-blocked groups of
-		// eight, then four, then singles; each group sweeps the columns
-		// in buffered tiles (verifyTile) so every loaded cache row is
-		// scored against the whole resident group and the float
-		// corrections run with the column index innermost. Each output
+		// Multi-row shape: a handful of query rows against a long cache
+		// (a short prefill, or one worker's row-split tile). The rows are
+		// processed in register-blocked groups of eight, then four, then
+		// singles; each group sweeps the columns in buffered tiles
+		// (verifyTile) so every loaded cache row is scored against the
+		// whole resident group and the float corrections run with the
+		// column index innermost. Each output
 		// element accumulates its per-block terms in the same order and
 		// expression as the row-outer path, so both are bit-identical to
 		// the scalar reference.
@@ -582,7 +583,7 @@ func blockedTile(dst *tensor.Matrix, a *quant.Tensor, bCodes []uint8,
 const verifyTileBuf = 4096
 
 // verifyTile computes one register-blocked row group [i0, i0+gw) of a
-// batch-verify product across columns [clo, chi). Columns are processed
+// multi-row product across columns [clo, chi). Columns are processed
 // in buffered tiles: first the integer dots of the whole tile land in
 // buf — one dotU8MADDBlocks8/4 call per column scores every row of the
 // group against that cache row while its codes sit in registers — then

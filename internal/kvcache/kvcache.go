@@ -558,35 +558,6 @@ func (c *Cache) EvictBlock(b int) error {
 	return nil
 }
 
-// TruncateTail removes the n most recently appended tokens — the K rows
-// and the matching FP16 V tail rows. Only tail rows can go: quantized
-// VFull partitions are closed books (dropping single rows would force a
-// requantization of the block), so n must not exceed TailLen(). This is
-// speculative decoding's rollback primitive; a rejected draft suffix
-// never crosses a flush boundary (the verify window is clamped inside
-// the open partition), so its rows are always still in the tail.
-func (c *Cache) TruncateTail(n int) error {
-	if n == 0 {
-		return nil
-	}
-	if !c.cfg.RQE {
-		return fmt.Errorf("kvcache: truncate requires RQE (a quantized tail cannot drop single rows)")
-	}
-	tailRows := 0
-	if c.VTail != nil {
-		tailRows = c.VTail.Rows
-	}
-	if n < 0 || n > tailRows {
-		return fmt.Errorf("kvcache: truncate %d tokens with %d tail rows", n, tailRows)
-	}
-	if err := c.K.RemoveRows(c.K.Rows-n, c.K.Rows); err != nil {
-		return err
-	}
-	c.VTail.Rows -= n
-	c.VTail.Data = c.VTail.Data[:c.VTail.Rows*c.VTail.Cols]
-	return nil
-}
-
 // vFullBlocks returns the number of complete quantized V blocks.
 func (c *Cache) vFullBlocks() int {
 	if c.VFull == nil {

@@ -145,16 +145,16 @@ func (m *Transformer) RestoreSession(b attention.Backend, heads [][]attention.He
 // instance reads cache contents through this for the KV transfer.
 func (s *Session) Head(layer, head int) attention.Head { return s.heads[layer][head] }
 
+// Len returns the cached token count. Every head advances in lockstep,
+// so layer 0 head 0 speaks for the session.
+func (s *Session) Len() int { return s.heads[0][0].Len() }
+
 // pass selects which per-head attention entry point a forward run uses.
 type pass int
 
 const (
 	passPrefill pass = iota
 	passDecode
-	// passVerify batch-verifies a speculative window: x holds the
-	// window's hidden states, and each head must implement
-	// attention.BatchVerifier.
-	passVerify
 )
 
 // forward runs the transformer over x (L×hidden) through the selected
@@ -186,16 +186,9 @@ func (s *Session) forward(x *tensor.Matrix, p pass) (*tensor.Matrix, error) {
 				st  attention.Stats
 				err error
 			)
-			switch p {
-			case passPrefill:
+			if p == passPrefill {
 				oh, st, err = s.heads[l][h].Prefill(qh, kh, vh)
-			case passVerify:
-				bv, ok := s.heads[l][h].(attention.BatchVerifier)
-				if !ok {
-					return nil, fmt.Errorf("layer %d head %d: backend cannot batch-verify", l, h)
-				}
-				oh, st, err = bv.DecodeBatch(qh, kh, vh)
-			default:
+			} else {
 				oh, st, err = s.heads[l][h].Decode(qh, kh, vh)
 			}
 			if err != nil {

@@ -22,14 +22,13 @@ import (
 	"github.com/hackkv/hack/internal/tensor"
 )
 
-// Frame magic and versions for the KV transfer protocol. Version 2
-// extends version 1 with a per-head RNG draw count (RNGDraws) so a
-// decode instance can fast-forward its stochastic-rounding RNG to the
-// prefill instance's state; version-1 frames still decode (RNGDraws 0).
+// Frame magic and version for the KV transfer protocol. The handshake
+// refuses peers at any other wire version, so frameVersion is the only
+// layout that can arrive; a frame head carrying another version is
+// corrupt.
 const (
-	frameMagic     = 0x48414B56 // "HAKV"
-	frameVersionV1 = 1
-	frameVersionV2 = 2
+	frameMagic   = 0x48414B56 // "HAKV"
+	frameVersion = 2
 	// maxFrameSize bounds a single frame's payload (1 GiB) to fail fast
 	// on corrupted length fields.
 	maxFrameSize = 1 << 30
@@ -39,19 +38,14 @@ const (
 // quantized codes, the FP16 min/scale metadata, the first generated
 // token, and the RQE FP16 tail.
 type KVFrame struct {
-	// Version is the wire version the frame was decoded from (or will be
-	// encoded as): 1 or 2. The zero value encodes as the current version
-	// (2); ReadFrom records what it actually parsed so accepted frames
-	// re-serialize canonically.
-	Version uint32
 	// RequestID and Layer/Head locate the payload.
 	RequestID   uint64
 	Layer, Head uint16
 	// FirstToken is the prefill-stage output token.
 	FirstToken uint32
-	// RNGDraws counts the quantizer RNG draws the prefill side consumed
-	// for this head, so the decode side can replay them and continue the
-	// stream bit-identically (version ≥ 2 only; zero on v1 frames).
+	// RNGDraws is a header field that position-keyed rounding leaves at
+	// zero: the quantizer keeps no stream state to replay, and
+	// RestoreHead refuses a non-zero count. It round-trips unchanged.
 	RNGDraws uint64
 	// Bits and Pi describe the quantization layout; Rows/Cols the K
 	// shape (token-major).
@@ -91,17 +85,6 @@ func fp16FromBytes(b []byte) ([]fp16.Bits, error) {
 // number of payload bytes written (the wire size the transfer model
 // prices).
 func (f *KVFrame) WriteTo(w io.Writer) (int64, error) {
-	version := f.Version
-	switch version {
-	case 0:
-		version = frameVersionV2
-	case frameVersionV1, frameVersionV2:
-	default:
-		return 0, fmt.Errorf("netsim: cannot encode frame version %d", version)
-	}
-	if version == frameVersionV1 && f.RNGDraws != 0 {
-		return 0, errors.New("netsim: RNG draw count needs frame version 2")
-	}
 	var body []byte
 	{
 		hdr := make([]byte, 0, 64)
@@ -122,10 +105,8 @@ func (f *KVFrame) WriteTo(w io.Writer) (int64, error) {
 		put32(f.Cols)
 		put32(f.VRows)
 		put32(f.TailRows)
-		if version >= frameVersionV2 {
-			binary.LittleEndian.PutUint64(tmp, f.RNGDraws)
-			hdr = append(hdr, tmp[:8]...)
-		}
+		binary.LittleEndian.PutUint64(tmp, f.RNGDraws)
+		hdr = append(hdr, tmp[:8]...)
 		body = hdr
 	}
 	for _, chunk := range [][]byte{
@@ -142,7 +123,7 @@ func (f *KVFrame) WriteTo(w io.Writer) (int64, error) {
 
 	var head [12]byte
 	binary.LittleEndian.PutUint32(head[0:], frameMagic)
-	binary.LittleEndian.PutUint32(head[4:], version)
+	binary.LittleEndian.PutUint32(head[4:], frameVersion)
 	binary.LittleEndian.PutUint32(head[8:], uint32(len(body)))
 	if _, err := w.Write(head[:]); err != nil {
 		return 0, err
@@ -168,11 +149,8 @@ func (f *KVFrame) WriteTo(w io.Writer) (int64, error) {
 var ErrFrameCorrupt = errors.New("netsim: frame header corrupt")
 
 // ReadFrom parses one frame, verifying magic, version and checksum.
-// Both wire versions decode: version-1 frames (no RNG draw count) yield
-// RNGDraws 0. The parsed version is recorded in f.Version, so an
-// accepted frame re-serializes to the exact bytes it came from.
-// Head-parse failures wrap ErrFrameCorrupt; a body CRC mismatch wraps
-// ErrChecksum.
+// Head-parse failures, a version other than frameVersion among them,
+// wrap ErrFrameCorrupt; a body CRC mismatch wraps ErrChecksum.
 func (f *KVFrame) ReadFrom(r io.Reader) (int64, error) {
 	var head [12]byte
 	if _, err := io.ReadFull(r, head[:]); err != nil {
@@ -182,7 +160,7 @@ func (f *KVFrame) ReadFrom(r io.Reader) (int64, error) {
 		return 0, fmt.Errorf("%w: bad magic %#x", ErrFrameCorrupt, binary.LittleEndian.Uint32(head[0:]))
 	}
 	version := binary.LittleEndian.Uint32(head[4:])
-	if version != frameVersionV1 && version != frameVersionV2 {
+	if version != frameVersion {
 		return 0, fmt.Errorf("%w: unsupported version %d", ErrFrameCorrupt, version)
 	}
 	n := binary.LittleEndian.Uint32(head[8:])
@@ -201,10 +179,9 @@ func (f *KVFrame) ReadFrom(r io.Reader) (int64, error) {
 		return 0, fmt.Errorf("netsim: frame body: %w", ErrChecksum)
 	}
 
-	if len(body) < 34 {
+	if len(body) < 42 {
 		return 0, errors.New("netsim: truncated header")
 	}
-	f.Version = version
 	f.RequestID = binary.LittleEndian.Uint64(body[0:])
 	f.Layer = binary.LittleEndian.Uint16(body[8:])
 	f.Head = binary.LittleEndian.Uint16(body[10:])
@@ -215,15 +192,8 @@ func (f *KVFrame) ReadFrom(r io.Reader) (int64, error) {
 	f.Cols = binary.LittleEndian.Uint32(body[22:])
 	f.VRows = binary.LittleEndian.Uint32(body[26:])
 	f.TailRows = binary.LittleEndian.Uint32(body[30:])
-	rest := body[34:]
-	f.RNGDraws = 0
-	if version >= frameVersionV2 {
-		if len(rest) < 8 {
-			return 0, errors.New("netsim: truncated header")
-		}
-		f.RNGDraws = binary.LittleEndian.Uint64(rest)
-		rest = rest[8:]
-	}
+	f.RNGDraws = binary.LittleEndian.Uint64(body[34:])
+	rest := body[42:]
 	chunks := make([][]byte, 7)
 	for i := range chunks {
 		if len(rest) < 4 {

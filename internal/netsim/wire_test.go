@@ -2,6 +2,7 @@ package netsim
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"io"
 	"net"
@@ -222,63 +223,36 @@ func TestHandshakeRefusesOtherWireVersion(t *testing.T) {
 	}
 }
 
-// TestFrameVersionCompat covers the v1↔v2 frame codec split: default
-// frames encode as v2 carrying RNGDraws; explicit v1 frames encode the
-// legacy layout and decode with RNGDraws 0; RNGDraws on a v1 frame is a
-// refusal, not silent truncation.
+// TestFrameVersionCompat pins the one frame version: frames encode as
+// version 2 and round-trip RNGDraws, and a head naming any other
+// version — the retired version 1 included — is refused as corrupt.
 func TestFrameVersionCompat(t *testing.T) {
-	base := KVFrame{
-		RequestID: 3, Layer: 1, Head: 0, FirstToken: 55,
+	fr := KVFrame{
+		RequestID: 3, Layer: 1, Head: 0, FirstToken: 55, RNGDraws: 123456,
 		Bits: 2, Pi: 4, KRows: 4, Cols: 4, VRows: 4,
 		KCodes: []byte{1, 2, 3, 4}, VCodes: []byte{5, 6, 7, 8},
 	}
-
-	v2 := base
-	v2.RNGDraws = 123456
 	var buf bytes.Buffer
-	if _, err := v2.WriteTo(&buf); err != nil {
+	if _, err := fr.WriteTo(&buf); err != nil {
 		t.Fatal(err)
+	}
+	encoded := buf.Bytes()
+	if v := binary.LittleEndian.Uint32(encoded[4:]); v != 2 {
+		t.Fatalf("frame encoded as version %d, want 2", v)
 	}
 	var got KVFrame
-	if _, err := got.ReadFrom(bytes.NewReader(buf.Bytes())); err != nil {
+	if _, err := got.ReadFrom(bytes.NewReader(encoded)); err != nil {
 		t.Fatal(err)
 	}
-	if got.Version != 2 || got.RNGDraws != 123456 {
-		t.Fatalf("v2 round-trip: version %d draws %d", got.Version, got.RNGDraws)
+	if got.RNGDraws != 123456 {
+		t.Fatalf("round-trip draws %d", got.RNGDraws)
 	}
 
-	v1 := base
-	v1.Version = 1
-	buf.Reset()
-	if _, err := v1.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	v1bytes := append([]byte(nil), buf.Bytes()...)
-	got = KVFrame{RNGDraws: 999} // stale state must be cleared by decode
-	if _, err := got.ReadFrom(bytes.NewReader(v1bytes)); err != nil {
-		t.Fatal(err)
-	}
-	if got.Version != 1 || got.RNGDraws != 0 {
-		t.Fatalf("v1 decode: version %d draws %d", got.Version, got.RNGDraws)
-	}
-	// A decoded v1 frame re-serializes canonically (stays v1).
-	buf.Reset()
-	if _, err := got.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(buf.Bytes(), v1bytes) {
-		t.Fatal("v1 frame did not re-serialize canonically")
-	}
-
-	bad := base
-	bad.Version = 1
-	bad.RNGDraws = 1
-	if _, err := bad.WriteTo(io.Discard); err == nil {
-		t.Fatal("v1 frame with RNG draws encoded silently")
-	}
-	bad = base
-	bad.Version = 9
-	if _, err := bad.WriteTo(io.Discard); err == nil {
-		t.Fatal("unknown version encoded silently")
+	for _, v := range []uint32{1, 3, 9} {
+		other := append([]byte(nil), encoded...)
+		binary.LittleEndian.PutUint32(other[4:], v)
+		if _, err := new(KVFrame).ReadFrom(bytes.NewReader(other)); !errors.Is(err, ErrFrameCorrupt) {
+			t.Errorf("version-%d head: %v, want ErrFrameCorrupt", v, err)
+		}
 	}
 }

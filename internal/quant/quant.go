@@ -96,8 +96,7 @@ const (
 	// position, not of the matrix's shape, of what was quantized before
 	// it, or of which node quantizes it. A token's codes are therefore
 	// the same whether its prompt is prefilled cold, resumed over cached
-	// prefix pages, verified in a speculative window, or shipped to
-	// another node.
+	// prefix pages, or shipped to another node.
 	StochasticRounding Rounding = iota
 	// NearestRounding rounds to the nearest integer; deterministic,
 	// used by tests and by the KVQuant-style baseline.

@@ -21,8 +21,8 @@ func rows(m *tensor.Matrix, lo, hi, cols int, rng *rand.Rand) *tensor.Matrix {
 	return out
 }
 
-// TestKeyedRoundingPositionStable pins the property prefix pages, the
-// KV wire and speculative rollback rest on: under stochastic rounding
+// TestKeyedRoundingPositionStable pins the property prefix pages and
+// the KV wire rest on: under stochastic rounding
 // the code of element (r, c) depends only on the stream key, its
 // absolute position and its partition's values — not on how many rows
 // the quantized matrix has, where it starts, or how many further

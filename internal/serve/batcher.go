@@ -90,14 +90,9 @@ func (s *Server) stepBatch(batch []*active) {
 	})
 }
 
-// stepOne advances one request by one token (or, for requests carrying
-// a speculation draft, by up to SpecK tokens via specStep), marking it
-// done when its budget, stop token, context, or a forced drain ends it.
+// stepOne advances one request by one token, marking it done when its
+// budget, stop token, context, or a forced drain ends it.
 func (s *Server) stepOne(a *active) {
-	if a.draft != nil {
-		s.specStep(a)
-		return
-	}
 	if err := a.ctx.Err(); err != nil {
 		a.done, a.err = true, err
 		return

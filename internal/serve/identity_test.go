@@ -32,7 +32,9 @@ type identityCase struct {
 //     RestoreHead → SubmitPrefilled;
 //   - the same handoff from a session that was itself restored from
 //     the donor's prefix pages and resumed over the suffix;
-//   - speculative decoding with a window of 4.
+//   - continuous batching: all ten cases submitted at once to one server
+//     with three prefill workers, a decode batch of 8 and four decode
+//     goroutines, so a request's tokens cannot depend on its batch.
 func TestIdentityMatrix(t *testing.T) {
 	const seeds, sharedLen, maxNew = 10, 128, 12
 	base := Config{PrefillWorkers: 1, DecodeParallelism: 1, MaxBatch: 4, MaxNewTokens: maxNew}
@@ -67,10 +69,9 @@ func TestIdentityMatrix(t *testing.T) {
 	prefixCfg := base
 	prefixCfg.PrefixCacheBytes = 1 << 24
 	prefix := newTestServer(t, prefixCfg)
-	specCfg := base
-	specCfg.SpecK = 4
-	spec := newTestServer(t, specCfg)
 	decode := newTestServer(t, base)
+	together := submitTogether(t, newTestServer(t,
+		Config{PrefillWorkers: 3, DecodeParallelism: 4, MaxBatch: 8, MaxNewTokens: maxNew}), cases)
 
 	paths := []struct {
 		name  string
@@ -88,8 +89,8 @@ func TestIdentityMatrix(t *testing.T) {
 			sess, tok := prefilled(t, decode, c.prompt, c.seed, &c)
 			return generateFrom(t, decode, shipOverWire(t, decode, sess, c.seed), tok, c.seed)
 		}},
-		{"speculative-k4", func(t *testing.T, c identityCase) []int {
-			return submitOne(t, spec, c.prompt, c.seed)
+		{"batched", func(t *testing.T, c identityCase) []int {
+			return together[c.seed]
 		}},
 	}
 	for _, c := range cases {
@@ -105,9 +106,29 @@ func TestIdentityMatrix(t *testing.T) {
 		t.Errorf("prefix tier: %d hits reusing %d tokens, want %d hits of %d tokens",
 			pc.Hits, pc.TokensReused, seeds, sharedLen)
 	}
-	if sp := spec.Metrics().Speculation; sp == nil || sp.Windows == 0 || sp.Fallbacks != 0 {
-		t.Errorf("speculation ran no windows or fell back: %+v", sp)
+}
+
+// submitTogether submits every case to s before reading any stream, so
+// the cases share prefill workers and decode batches, and returns each
+// case's tokens indexed by its seed.
+func submitTogether(t *testing.T, s *Server, cases []identityCase) map[int64][]int {
+	t.Helper()
+	streams := make([]*Stream, len(cases))
+	for i, c := range cases {
+		st, err := s.Submit(context.Background(), Request{Prompt: c.prompt, Seed: c.seed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		streams[i] = st
 	}
+	out := make(map[int64][]int, len(cases))
+	for i, st := range streams {
+		out[cases[i].seed] = collect(t, st)
+		if err := st.Err(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return out
 }
 
 // generateFrom decodes a session prefilled elsewhere on s, after its

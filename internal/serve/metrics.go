@@ -55,21 +55,10 @@ type recorder struct {
 	prefixErrors atomic.Int64
 	prefixSkips  atomic.Int64
 
-	// Speculative decoding: verify windows run, draft tokens proposed
-	// and accepted, tokens emitted by verify steps, and requests that
-	// fell back to plain decoding (draft setup failure or a backend
-	// that cannot batch-verify).
-	specWindows   atomic.Int64
-	specProposed  atomic.Int64
-	specAccepted  atomic.Int64
-	specEmitted   atomic.Int64
-	specFallbacks atomic.Int64
-
-	mu        sync.Mutex
-	ttfts     ring
-	tbts      ring
-	queueDs   ring
-	specRates ring
+	mu      sync.Mutex
+	ttfts   ring
+	tbts    ring
+	queueDs ring
 }
 
 func (r *recorder) ttft(s float64) {
@@ -87,13 +76,6 @@ func (r *recorder) tbt(s float64) {
 func (r *recorder) queueDelay(s float64) {
 	r.mu.Lock()
 	r.queueDs.add(s)
-	r.mu.Unlock()
-}
-
-// specRate records one finished request's draft acceptance rate.
-func (r *recorder) specRate(s float64) {
-	r.mu.Lock()
-	r.specRates.add(s)
 	r.mu.Unlock()
 }
 
@@ -142,9 +124,6 @@ type Snapshot struct {
 	// is disabled (so existing JSON consumers see no new field).
 	PrefixCache *PrefixCacheStats `json:"prefix_cache,omitempty"`
 
-	// Speculation reports speculative decoding, nil when SpecK <= 1.
-	Speculation *SpeculationStats `json:"speculation,omitempty"`
-
 	// Latency percentiles, in seconds.
 	TTFT       metrics.PercentileSummary `json:"ttft_s"`
 	TBT        metrics.PercentileSummary `json:"tbt_s"`
@@ -152,28 +131,6 @@ type Snapshot struct {
 
 	// Draining reports whether shutdown has begun.
 	Draining bool `json:"draining"`
-}
-
-// SpeculationStats is the Snapshot's view of speculative decoding.
-type SpeculationStats struct {
-	// K and Draft echo the configuration (window size, draft class).
-	K     int    `json:"k"`
-	Draft string `json:"draft"`
-	// Windows counts batched verify calls; Proposed/Accepted count
-	// draft tokens offered and accepted by them.
-	Windows  int64 `json:"windows"`
-	Proposed int64 `json:"proposed"`
-	Accepted int64 `json:"accepted"`
-	// Fallbacks counts requests that degraded to plain decoding.
-	Fallbacks int64 `json:"fallbacks"`
-	// AcceptanceRate is Accepted/Proposed over the server's lifetime;
-	// TokensPerStep is the mean tokens emitted per verify call (the
-	// speculation speedup's numerator).
-	AcceptanceRate float64 `json:"acceptance_rate"`
-	TokensPerStep  float64 `json:"tokens_per_step"`
-	// RequestAcceptance summarizes per-request acceptance rates over
-	// recent completions.
-	RequestAcceptance metrics.PercentileSummary `json:"request_acceptance"`
 }
 
 // Metrics returns the current serving snapshot.
@@ -214,30 +171,6 @@ func (s *Server) Metrics() Snapshot {
 		st.ColdFallbacks = r.prefixSkips.Load()
 		st.Breaker = s.prefix.breaker.Status()
 		out.PrefixCache = &st
-	}
-	if s.cfg.SpecK > 1 {
-		sp := &SpeculationStats{
-			K:         s.cfg.SpecK,
-			Draft:     s.cfg.SpecDraft,
-			Windows:   r.specWindows.Load(),
-			Proposed:  r.specProposed.Load(),
-			Accepted:  r.specAccepted.Load(),
-			Fallbacks: r.specFallbacks.Load(),
-		}
-		if sp.Draft == "" {
-			sp.Draft = DefaultDraftClass
-		}
-		if sp.Proposed > 0 {
-			sp.AcceptanceRate = float64(sp.Accepted) / float64(sp.Proposed)
-		}
-		if sp.Windows > 0 {
-			sp.TokensPerStep = float64(r.specEmitted.Load()) / float64(sp.Windows)
-		}
-		r.mu.Lock()
-		rates := r.specRates.snapshot()
-		r.mu.Unlock()
-		sp.RequestAcceptance = metrics.Summarize(rates)
-		out.Speculation = sp
 	}
 	r.mu.Lock()
 	ttfts, tbts, qds := r.ttfts.snapshot(), r.tbts.snapshot(), r.queueDs.snapshot()

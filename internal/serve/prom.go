@@ -76,15 +76,6 @@ func (s Snapshot) WritePrometheus(w io.Writer, prefix string) error {
 		}
 		gauge("prefix_breaker_state", "Prefix-tier breaker position (0=closed, 1=open, 2=half-open).", strconv.Itoa(breakerState))
 	}
-	if sp := s.Speculation; sp != nil {
-		counter("spec_windows_total", "Speculative batched verify calls.", sp.Windows)
-		counter("spec_proposed_total", "Draft tokens proposed.", sp.Proposed)
-		counter("spec_accepted_total", "Draft tokens accepted by verification.", sp.Accepted)
-		counter("spec_fallbacks_total", "Requests degraded to plain decoding.", sp.Fallbacks)
-		gauge("spec_acceptance_rate", "Lifetime draft acceptance rate.", num(sp.AcceptanceRate))
-		gauge("spec_tokens_per_step", "Mean tokens emitted per verify call.", num(sp.TokensPerStep))
-		summary("spec_request_acceptance", "Per-request draft acceptance rate.", sp.RequestAcceptance)
-	}
 	summary("ttft_seconds", "Time to first token.", s.TTFT)
 	summary("tbt_seconds", "Mean time between tokens.", s.TBT)
 	summary("queue_delay_seconds", "Admission queue delay.", s.QueueDelay)

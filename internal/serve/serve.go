@@ -105,22 +105,6 @@ type Config struct {
 	// or flapping cache node.
 	PrefixBreakerThreshold int
 	PrefixBreakerCooldown  time.Duration
-
-	// SpecK > 1 enables speculative decoding with that window size: each
-	// decode step a cheap draft session proposes up to SpecK-1 tokens,
-	// and the request's full-precision session verifies the whole window
-	// (proposals plus the step's own token) in one batched attention
-	// call, emitting the accepted prefix and rolling the rejected suffix
-	// back out of the KV caches and quantizer streams. 0 and 1 disable.
-	// Token streams stay byte-identical to the non-speculative server at
-	// the same (prompt, seed): speculation changes how many kernel calls
-	// produce the stream, never its bytes. Requests whose backend cannot
-	// batch-verify fall back to plain decoding.
-	SpecK int
-	// SpecDraft names the draft quantization class (DraftClasses lists
-	// them); empty selects DefaultDraftClass — Π=128 nearest-rounding
-	// HACK, the cheapest kernel class.
-	SpecDraft string
 }
 
 // Request is one generation job.
@@ -201,14 +185,6 @@ type active struct {
 	last   int // last generated token (decode input)
 	n      int // tokens emitted so far
 	done   bool
-
-	// draft is the request's speculation draft session, nil when
-	// speculation is off or the request fell back to plain decoding.
-	// specProposed/specAccepted count its draft tokens for the
-	// per-request acceptance metric.
-	draft        *model.Session
-	specProposed int64
-	specAccepted int64
 
 	submitted time.Time
 	started   time.Time // prefill start (queue delay = started - submitted)
@@ -292,16 +268,6 @@ func New(cfg Config) (*Server, error) {
 	if cfg.PrefixCacheBytes < 0 || cfg.PrefixCachePageTokens < 0 {
 		return nil, fmt.Errorf("serve: negative prefix cache config (bytes %d page %d)",
 			cfg.PrefixCacheBytes, cfg.PrefixCachePageTokens)
-	}
-	if cfg.SpecK < 0 {
-		return nil, fmt.Errorf("serve: negative speculation window %d", cfg.SpecK)
-	}
-	if cfg.SpecK > 1 {
-		// Resolve the draft class now so a typo fails construction, not
-		// every request.
-		if _, err := draftConfig(cfg.SpecDraft, 0); err != nil {
-			return nil, err
-		}
 	}
 	if cfg.Backend == nil {
 		cfg.Backend = func(seed int64) (attention.Backend, error) {

@@ -134,18 +134,6 @@ func (s *Server) prefillOne(a *active) {
 		s.finishRequest(a, nil)
 		return
 	}
-	if s.cfg.SpecK > 1 {
-		// Speculation: build and prefill the draft session for the
-		// decode phase. Failures (and backends that cannot batch-verify)
-		// degrade to plain decoding rather than fail the request.
-		if !a.sess.SupportsVerify() {
-			s.rec.specFallbacks.Add(1)
-		} else if draft, derr := s.newDraftSession(a.req); derr == nil {
-			a.draft = draft
-		} else {
-			s.rec.specFallbacks.Add(1)
-		}
-	}
 	// Hand off to the decode batcher. The admit channel applies
 	// backpressure: when the decode side is saturated, prefill blocks
 	// here (and its queue fills behind it) until batch slots free up.
@@ -155,9 +143,6 @@ func (s *Server) prefillOne(a *active) {
 // finishRequest seals a completed or aborted request's stream and
 // records its terminal metrics.
 func (s *Server) finishRequest(a *active, err error) {
-	if a.specProposed > 0 {
-		s.rec.specRate(float64(a.specAccepted) / float64(a.specProposed))
-	}
 	switch {
 	case err == nil:
 		s.rec.completed.Add(1)

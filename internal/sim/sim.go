@@ -66,57 +66,10 @@ type Config struct {
 	// admission picks from (highest fidelity first). Empty defaults to
 	// [Baseline, Method]. Ignored by every other scheduler.
 	MethodClasses []cluster.Method
-	// SpecK, when greater than 1, models speculative decoding on the
-	// decode replicas: each decode step drafts up to SpecK-1 tokens and
-	// verifies the window in one batched kernel call, so the effective
-	// per-token decode time scales by windowCost/E[tokens]. 0 and 1
-	// disable.
-	SpecK int
-	// SpecAcceptance is the per-token draft acceptance probability α in
-	// [0, 1]. Expected tokens per verify window is the truncated
-	// geometric series (1-α^K)/(1-α) — each accepted draft token lets
-	// the window run one position further.
-	SpecAcceptance float64
-	// SpecDraftCost is one draft step's cost relative to a full decode
-	// step (the draft runs a coarser compression class); 0 selects 0.25.
-	// At low acceptance the model correctly predicts a slowdown: drafts
-	// are paid whether or not their tokens survive verification.
-	SpecDraftCost float64
 	// Probe, when non-nil, observes simulator transitions (tests,
 	// tracing). It must not mutate simulator state; it never affects
 	// results.
 	Probe func(ProbeEvent)
-}
-
-// SpecSpeedup returns the modeled speculative-decoding throughput
-// factor: E[tokens emitted per window] over the window's cost in
-// full-decode-step units, (K-1)·draftCost + 1 (drafting plus one
-// batched verify, whose KV sweep amortizes across the window). 1 when
-// speculation is off; below 1 when acceptance is too low to pay for
-// the drafting.
-func (c Config) SpecSpeedup() float64 {
-	if c.SpecK <= 1 {
-		return 1
-	}
-	k, a := float64(c.SpecK), c.SpecAcceptance
-	expected := k
-	if a < 1 {
-		expected = (1 - pow(a, c.SpecK)) / (1 - a)
-	}
-	draftCost := c.SpecDraftCost
-	if draftCost == 0 {
-		draftCost = 0.25
-	}
-	return expected / ((k-1)*draftCost + 1)
-}
-
-// pow is x^n for small integer n (avoids importing math for one call).
-func pow(x float64, n int) float64 {
-	out := 1.0
-	for i := 0; i < n; i++ {
-		out *= x
-	}
-	return out
 }
 
 // Validate checks the configuration.
@@ -144,15 +97,6 @@ func (c Config) Validate() error {
 	}
 	if c.SLOTTFT < 0 || c.SLOTBT < 0 {
 		return fmt.Errorf("sim: SLO targets %v/%v must be >= 0", c.SLOTTFT, c.SLOTBT)
-	}
-	if c.SpecK < 0 {
-		return fmt.Errorf("sim: speculation window %d must be >= 0", c.SpecK)
-	}
-	if c.SpecAcceptance < 0 || c.SpecAcceptance > 1 {
-		return fmt.Errorf("sim: speculation acceptance %v outside [0, 1]", c.SpecAcceptance)
-	}
-	if c.SpecDraftCost < 0 {
-		return fmt.Errorf("sim: speculation draft cost %v must be >= 0", c.SpecDraftCost)
 	}
 	return nil
 }
@@ -288,7 +232,6 @@ func (q *eventQueue) Pop() any {
 
 type sim struct {
 	cfg        Config
-	specSpeed  float64 // modeled speculative throughput factor (1 = off)
 	events     eventQueue
 	rrNext     int
 	seq        int
@@ -321,7 +264,7 @@ func RunContext(ctx context.Context, cfg Config, reqs []workload.Request, onRequ
 	if len(reqs) == 0 {
 		return nil, fmt.Errorf("sim: empty trace")
 	}
-	s := &sim{cfg: cfg, specSpeed: cfg.SpecSpeedup(), onDone: onRequest}
+	s := &sim{cfg: cfg, onDone: onRequest}
 	s.resolveClasses()
 	for i := 0; i < cfg.PrefillReplicas; i++ {
 		s.prefills = append(s.prefills, &prefillReplica{})
@@ -655,13 +598,6 @@ func (s *sim) startIteration(di int) {
 		methods[i] = r.method
 	}
 	decode, kvMem, overhead := s.cfg.CM.DecodeStepMixed(methods, lens)
-	if s.specSpeed != 1 {
-		// Speculative decoding: the effective per-token step time is the
-		// verify window's cost spread over its expected emitted tokens.
-		decode /= s.specSpeed
-		kvMem /= s.specSpeed
-		overhead /= s.specSpeed
-	}
 	iter := decode + kvMem + overhead
 	for _, r := range d.batch {
 		r.stats.Decode += decode + kvMem

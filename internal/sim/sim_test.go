@@ -437,73 +437,3 @@ func TestSchedulerVariants(t *testing.T) {
 		t.Error("scheduler names wrong")
 	}
 }
-
-// TestSpecSpeedupModel pins the speculation cost model's algebra: the
-// expected-tokens numerator is the truncated geometric series, the cost
-// denominator is (K-1)·draftCost + 1, and the boundary cases behave.
-func TestSpecSpeedupModel(t *testing.T) {
-	cases := []struct {
-		k     int
-		alpha float64
-		cost  float64
-		want  float64
-	}{
-		{0, 0.9, 0.25, 1},          // off
-		{1, 0.9, 0.25, 1},          // off (window of 1 is a plain decode)
-		{4, 1.0, 0.25, 4.0 / 1.75}, // perfect acceptance: K tokens per window
-		{4, 0.0, 0.25, 1.0 / 1.75}, // zero acceptance: drafting is pure loss
-		{2, 0.5, 0.5, 1.5 / 1.5},   // break-even
-		{4, 0.9, 0.25, (1 - .9*.9*.9*.9) / .1 / 1.75},
-		{8, 0.9, 0, ((1 - math.Pow(.9, 8)) / .1) / (7*0.25 + 1)}, // zero cost selects 0.25
-	}
-	for _, c := range cases {
-		cfg := Config{SpecK: c.k, SpecAcceptance: c.alpha, SpecDraftCost: c.cost}
-		if got := cfg.SpecSpeedup(); math.Abs(got-c.want) > 1e-12 {
-			t.Errorf("SpecSpeedup(k=%d, α=%v, cost=%v) = %v, want %v", c.k, c.alpha, c.cost, got, c.want)
-		}
-	}
-}
-
-// TestSpeculationScalesDecode pins the model end to end: a high-
-// acceptance speculative run finishes its decode phase faster than the
-// non-speculative run of the same trace, a zero-acceptance run slower,
-// and invalid speculation parameters are rejected.
-func TestSpeculationScalesDecode(t *testing.T) {
-	cm := testCM(t, cluster.A10G())
-	base := baseCfg(cm, cluster.DefaultHACK())
-	plain := run(t, base, workload.ArXiv(), 0.5, 40)
-
-	fast := base
-	fast.SpecK, fast.SpecAcceptance = 4, 0.9
-	accel := run(t, fast, workload.ArXiv(), 0.5, 40)
-
-	slow := base
-	slow.SpecK, slow.SpecAcceptance = 4, 0.0
-	waste := run(t, slow, workload.ArXiv(), 0.5, 40)
-
-	var dPlain, dFast, dSlow float64
-	for i := range plain.Requests {
-		dPlain += plain.Requests[i].Decode
-		dFast += accel.Requests[i].Decode
-		dSlow += waste.Requests[i].Decode
-	}
-	// Faster iterations reshuffle batch membership, so the aggregate
-	// ratio tracks the modeled speedup only approximately.
-	f := fast.SpecSpeedup()
-	if ratio := dPlain / dFast; math.Abs(ratio-f) > 0.05*f {
-		t.Errorf("decode speedup %v, want ~%v (plain %v, spec %v)", ratio, f, dPlain, dFast)
-	}
-	if dSlow <= dPlain {
-		t.Errorf("zero-acceptance speculation decode %v not slower than plain %v", dSlow, dPlain)
-	}
-
-	for _, bad := range []Config{
-		{SpecK: -1}, {SpecAcceptance: -0.1}, {SpecAcceptance: 1.1}, {SpecDraftCost: -1},
-	} {
-		c := base
-		c.SpecK, c.SpecAcceptance, c.SpecDraftCost = bad.SpecK, bad.SpecAcceptance, bad.SpecDraftCost
-		if err := c.Validate(); err == nil {
-			t.Errorf("invalid speculation config %+v accepted", bad)
-		}
-	}
-}

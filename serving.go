@@ -75,34 +75,14 @@ type ServeConfig struct {
 	// must be a positive multiple of the method's partition size Π
 	// (default: Π itself).
 	PrefixCachePageTokens int
-	// SpecK, when greater than 1, enables speculative decoding: a cheap
-	// draft pass proposes up to SpecK-1 tokens per step and the serving
-	// method's full-precision kernels verify the whole window in one
-	// batched attention call. Token streams stay byte-identical to the
-	// non-speculative path per (prompt, seed) — speculation changes when
-	// tokens are produced, never which. 0 and 1 disable.
-	SpecK int
-	// SpecDraft names the draft compression class (see
-	// DraftClasses; default "pi128-nearest"). Coarser classes draft
-	// faster but are accepted less often.
-	SpecDraft string
 }
-
-// DraftClasses lists the recognized speculative-draft compression
-// classes, sorted, for ServeConfig.SpecDraft.
-func DraftClasses() []string { return serve.DraftClasses() }
-
-// DefaultDraftClass is the draft compression class an empty
-// ServeConfig.SpecDraft selects.
-const DefaultDraftClass = serve.DefaultDraftClass
 
 // WithServeConfig sizes the live runtime started by Engine.Listen.
 func WithServeConfig(sc ServeConfig) Option {
 	return func(e *Engine) error {
 		if sc.PrefillWorkers < 0 || sc.MaxBatch < 0 || sc.QueueCap < 0 ||
 			sc.MaxNewTokens < 0 || sc.DecodeParallelism < 0 ||
-			sc.PrefixCacheBytes < 0 || sc.PrefixCachePageTokens < 0 ||
-			sc.SpecK < 0 {
+			sc.PrefixCacheBytes < 0 || sc.PrefixCachePageTokens < 0 {
 			return fmt.Errorf("serve config fields must be >= 0 (%+v)", sc)
 		}
 		e.serveCfg = sc
@@ -119,20 +99,6 @@ func WithPrefixCache(budgetBytes int64) Option {
 			return fmt.Errorf("prefix cache budget %d must be positive", budgetBytes)
 		}
 		e.prefixBytes = budgetBytes
-		return nil
-	}
-}
-
-// WithSpeculation enables speculative decoding with the given window
-// size and draft compression class (empty selects the default; see
-// ServeConfig.SpecK). It composes with WithServeConfig regardless of
-// option order.
-func WithSpeculation(k int, draft string) Option {
-	return func(e *Engine) error {
-		if k < 2 {
-			return fmt.Errorf("speculation window %d must be >= 2", k)
-		}
-		e.specK, e.specDraft = k, draft
 		return nil
 	}
 }
@@ -157,9 +123,6 @@ func (e *Engine) Listen(ctx context.Context) (*Server, error) {
 	if e.prefixBytes > 0 && sc.PrefixCacheBytes == 0 {
 		sc.PrefixCacheBytes = e.prefixBytes
 	}
-	if e.specK > 0 && sc.SpecK == 0 {
-		sc.SpecK, sc.SpecDraft = e.specK, e.specDraft
-	}
 	rt, err := serve.New(serve.Config{
 		Spec:                  sc.Model,
 		ModelSeed:             sc.ModelSeed,
@@ -172,8 +135,6 @@ func (e *Engine) Listen(ctx context.Context) (*Server, error) {
 		DecodeParallelism:     sc.DecodeParallelism,
 		PrefixCacheBytes:      sc.PrefixCacheBytes,
 		PrefixCachePageTokens: sc.PrefixCachePageTokens,
-		SpecK:                 sc.SpecK,
-		SpecDraft:             sc.SpecDraft,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("hack: %w", err)
