@@ -142,10 +142,10 @@
 // (BreakerThreshold consecutive failures open it; after BreakerCooldown
 // a half-open probe decides) that steers placement away until the
 // health monitor's out-of-band probe re-closes it; breaker state rides
-// DisaggReport.Replicas and the router's Prometheus metrics. The
-// serve-side remote prefix cache carries the same breaker (internal
-// serve.Config's PrefixBreakerThreshold and PrefixBreakerCooldown),
-// degrading to local prefill while its backend link is sick.
+// DisaggReport.Replicas and the router's Prometheus metrics. This is
+// the runtime's only breaker: the shared-prefix tier is in-process, and
+// a tier error falls back to a cold prefill instead of failing the
+// request.
 //
 // DisaggConfig.ChaosScript (the -chaos-script router flag) replays a
 // named fault script — ChaosScripts() lists kill-decode,

@@ -8,16 +8,15 @@
 // added latency, bandwidth throttling, deterministic byte corruption,
 // mid-stream resets, half-open stalls, and full partitions. An Injector
 // owns the live plans (global and per-address), wraps dials via a
-// Dialer hook the disagg router and the remote prefix-cache client
-// accept, and counts every fault it injects (exported as Prometheus
-// chaos_* series). All randomness is seed-driven: the same seed injects
-// the same faults at the same byte offsets.
+// Dialer hook the disagg router accepts, and counts every fault it
+// injects (exported as Prometheus chaos_* series). All randomness is
+// seed-driven: the same seed injects the same faults at the same byte
+// offsets.
 //
 // Resilience: Backoff implements jittered exponential backoff under a
 // total retry budget (replacing fixed retry counts), and Breaker is a
 // per-peer circuit breaker (closed → open after N consecutive failures,
-// half-open single-probe recovery) whose state the router and the serve
-// prefix tier export.
+// half-open single-probe recovery) whose state the router exports.
 //
 // Scenario scripts (scenario.go) name reproducible fault timelines —
 // kill-decode, degrade-kv-link, partition-heal, corrupt-frame — that

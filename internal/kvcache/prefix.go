@@ -181,8 +181,8 @@ func (ix *PrefixIndex) Lookup(ns int64, prompt []int, maxTokens int) *PrefixMatc
 // The build callbacks run *outside* the index lock: Insert first
 // reserves every missing block under the lock (allocator sequence held,
 // node marked building), then renders payloads unlocked, then relocks to
-// attach them. Slow builds — the remote cache tier's need/answer wire
-// round-trips — therefore never stall concurrent Lookups or Inserts.
+// attach them. Slow builds — exporting pages from every head — therefore
+// never stall concurrent Lookups or Inserts.
 // Lookups skip building nodes, and a concurrent Insert of the same
 // prefix stops at one rather than double-building it.
 func (ix *PrefixIndex) Insert(ns int64, prompt []int, upTo int, build func(lo, hi int) (any, error)) (int, error) {
@@ -258,9 +258,9 @@ func (ix *PrefixIndex) Insert(ns int64, prompt []int, upTo int, build func(lo, h
 	}
 	ix.mu.Unlock()
 
-	// Phase 2 — render payloads with no lock held. For the remote cache
-	// tier this is where the need/answer wire round-trips happen; lookups
-	// and other inserts proceed concurrently.
+	// Phase 2 — render payloads with no lock held. This is where pages
+	// are exported from every head; lookups and other inserts proceed
+	// concurrently.
 	built := make([]any, 0, len(resv))
 	var buildErr error
 	for _, rv := range resv {

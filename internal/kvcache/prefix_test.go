@@ -332,7 +332,7 @@ func TestPrefixIndexLookupDuringSlowInsert(t *testing.T) {
 	}
 
 	// A slow insert of a different prompt: the build callback blocks
-	// until released, simulating a remote tier's need/answer stall.
+	// until released, simulating a slow page export from every head.
 	entered := make(chan struct{})
 	release := make(chan struct{})
 	slowDone := make(chan error, 1)

@@ -52,20 +52,7 @@ const (
 	MsgPing
 	MsgPong
 	MsgHelloErr // responder → initiator: handshake refused; payload is the reason
-	// Prefix-cache tier protocol (client = a serving runtime, server = a
-	// shared cache node). Lookup: client sends MsgPrefixLookup; server
-	// replies MsgPrefixHit, then streams each matched block's frames as
-	// MsgFrame messages, terminated by MsgTransferEnd. Insert: client
-	// sends MsgPrefixInsert; the server replies one MsgPrefixNeed per
-	// block it is missing (the client answers each with that block's
-	// frames + MsgTransferEnd) and closes with MsgPrefixDone.
-	MsgPrefixLookup // client → cache: PrefixLookupMsg
-	MsgPrefixHit    // cache → client: PrefixHitMsg, then frames
-	MsgPrefixInsert // client → cache: PrefixInsertMsg
-	MsgPrefixNeed   // cache → client: PrefixNeedMsg (one missing block)
-	MsgPrefixDone   // cache → client: PrefixDoneMsg (insert complete)
-	MsgPrefixStats  // client → cache (empty), cache → client: stats JSON
-	msgTypeEnd      // sentinel: first invalid type
+	msgTypeEnd  // sentinel: first invalid type
 )
 
 func (t MsgType) valid() bool { return t >= MsgHello && t < msgTypeEnd }
@@ -94,18 +81,6 @@ func (t MsgType) String() string {
 		return "pong"
 	case MsgHelloErr:
 		return "hello-err"
-	case MsgPrefixLookup:
-		return "prefix-lookup"
-	case MsgPrefixHit:
-		return "prefix-hit"
-	case MsgPrefixInsert:
-		return "prefix-insert"
-	case MsgPrefixNeed:
-		return "prefix-need"
-	case MsgPrefixDone:
-		return "prefix-done"
-	case MsgPrefixStats:
-		return "prefix-stats"
 	default:
 		return fmt.Sprintf("msg(%d)", uint8(t))
 	}

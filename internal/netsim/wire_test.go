@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"io"
 	"net"
 	"strings"
@@ -80,6 +81,20 @@ func TestWireMessageRejectsInvalidType(t *testing.T) {
 	}
 	if err := WriteMessage(&buf, 0, nil); err == nil {
 		t.Fatal("sent message type 0")
+	}
+
+	// Type bytes 12–17 were the retired prefix-cache node protocol. A
+	// well-formed message (valid length and CRC) carrying one must still
+	// read as corruption, not as a message.
+	for typ := byte(12); typ <= 17; typ++ {
+		payload := []byte(`{"seed":1}`)
+		msg := []byte{typ, 0, 0, 0, 0}
+		binary.LittleEndian.PutUint32(msg[1:], uint32(len(payload)))
+		msg = append(msg, payload...)
+		msg = binary.LittleEndian.AppendUint32(msg, crc32.ChecksumIEEE(append([]byte{typ}, payload...)))
+		if _, _, err := ReadMessage(bytes.NewReader(msg)); !errors.Is(err, ErrFrameCorrupt) {
+			t.Fatalf("type %d: ReadMessage err %v, want ErrFrameCorrupt", typ, err)
+		}
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"github.com/hackkv/hack/internal/chaos"
 	"github.com/hackkv/hack/internal/metrics"
 )
 
@@ -50,10 +49,8 @@ type recorder struct {
 	kvPeak   atomic.Int64
 
 	// prefixErrors counts shared-prefix tier failures the server
-	// absorbed by falling back to a cold prefill; prefixSkips counts
-	// tier calls refused up front by its open circuit breaker.
+	// absorbed by falling back to a cold prefill.
 	prefixErrors atomic.Int64
-	prefixSkips  atomic.Int64
 
 	mu      sync.Mutex
 	ttfts   ring
@@ -156,20 +153,11 @@ func (s *Server) Metrics() Snapshot {
 		out.BatchOccupancy = float64(r.batchSizeSum.Load()) / float64(out.DecodeSteps)
 	}
 	if s.prefix != nil {
-		var st PrefixCacheStats
-		// Behind an open breaker the backend may be unreachable; the
-		// snapshot must not pay a dial (or count a spurious error) just
-		// to render stats.
-		if s.prefix.breaker.State() == chaos.BreakerClosed {
-			var err error
-			if st, err = s.prefix.backend.Stats(); err != nil {
-				r.prefixErrors.Add(1)
-				s.prefix.breaker.Failure()
-			}
+		st, err := s.prefix.backend.Stats()
+		if err != nil {
+			r.prefixErrors.Add(1)
 		}
 		st.Errors = r.prefixErrors.Load()
-		st.ColdFallbacks = r.prefixSkips.Load()
-		st.Breaker = s.prefix.breaker.Status()
 		out.PrefixCache = &st
 	}
 	r.mu.Lock()

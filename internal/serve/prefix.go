@@ -2,10 +2,8 @@ package serve
 
 import (
 	"fmt"
-	"time"
 
 	"github.com/hackkv/hack/internal/attention"
-	"github.com/hackkv/hack/internal/chaos"
 	"github.com/hackkv/hack/internal/kvcache"
 	"github.com/hackkv/hack/internal/model"
 	"github.com/hackkv/hack/internal/netsim"
@@ -21,9 +19,9 @@ import (
 // position-keyed rounding makes a restored page bit-identical to the
 // cold path for the same (prompt, seed), whatever prompt produced it.
 //
-// Pages cross the tier boundary as netsim KV frames — the same framing
-// the disaggregated wire uses — so the in-process backend and the
-// remote cache-node stub store exactly the bytes a network tier would.
+// The tier is one in-process index per server. Its pages are netsim KV
+// frames — the same framing the disaggregated wire uses — so a cached
+// block holds exactly the bytes a KV handoff would ship.
 
 // PrefixCacheStats is the tier's counter snapshot, surfaced in
 // Snapshot.PrefixCache and the Prometheus exposition.
@@ -48,13 +46,6 @@ type PrefixCacheStats struct {
 	// Errors counts tier failures the server absorbed by falling back
 	// to a cold prefill (the tier degrades, requests never fail on it).
 	Errors int64 `json:"errors"`
-	// ColdFallbacks counts requests that skipped the tier because its
-	// circuit breaker was open — degraded-but-serving requests that
-	// paid a cold prefill without even attempting the backend.
-	ColdFallbacks int64 `json:"cold_fallbacks"`
-	// Breaker is this runtime's view of the tier breaker (zero from a
-	// raw backend; the serving snapshot fills it in).
-	Breaker chaos.BreakerStatus `json:"breaker"`
 }
 
 // PrefixMatch is one lookup's result: the longest cached block-aligned
@@ -81,9 +72,9 @@ func (m *PrefixMatch) Release() {
 }
 
 // PrefixCacheBackend is the storage tier behind the shared-prefix
-// cache. The in-process default (NewPrefixCache) indexes pages in
-// memory; NewRemotePrefixCache speaks the same contract to a shared
-// cache node over the netsim wire. Implementations must be safe for
+// cache. It has one implementation, the in-process index NewPrefixCache
+// builds; the interface is kept for the frozen benchmark harness and so
+// tests can substitute a failing fake. Implementations must be safe for
 // concurrent use; seed namespaces isolate quantizer streams.
 type PrefixCacheBackend interface {
 	// Lookup returns the longest cached block-aligned prefix of prompt
@@ -166,16 +157,13 @@ func (c *localPrefixCache) Stats() (PrefixCacheStats, error) {
 
 func (c *localPrefixCache) Close() error { return nil }
 
-// prefixTier is the server's view of an enabled prefix cache. Every
-// backend call routes through the breaker: when the tier is failing
-// (dead cache node, poisoned link), the breaker opens and requests
-// take the cold path without touching the backend at all.
+// prefixTier is the server's view of an enabled prefix cache. The
+// server builds the backend and closes it on Shutdown. A failing
+// backend call is counted and the request takes the cold path.
 type prefixTier struct {
 	backend    PrefixCacheBackend
-	owned      bool // Close on Shutdown only if the server built it
 	pageTokens int
 	pi         int
-	breaker    *chaos.Breaker
 }
 
 // newPrefixTier validates the serving configuration's prefix-cache
@@ -203,24 +191,12 @@ func newPrefixTier(cfg Config) (*prefixTier, error) {
 	if pageTokens < 0 || pageTokens%pi != 0 {
 		return nil, &kvcache.PageAlignmentError{PageTokens: pageTokens, Pi: pi}
 	}
-	cooldown := cfg.PrefixBreakerCooldown
-	if cooldown <= 0 {
-		cooldown = time.Second
-	}
-	t := &prefixTier{pageTokens: pageTokens, pi: pi,
-		breaker: chaos.NewBreaker(cfg.PrefixBreakerThreshold, cooldown)}
-	if cfg.PrefixCache != nil {
-		t.backend = cfg.PrefixCache
-		return t, nil
-	}
 	bpt := prefixBytesPerToken(cfg.Spec, pi, kvBits, pageTokens)
 	be, err := NewPrefixCache(cfg.PrefixCacheBytes, pageTokens, pi, bpt)
 	if err != nil {
 		return nil, fmt.Errorf("serve: %w", err)
 	}
-	t.backend = be
-	t.owned = true
-	return t, nil
+	return &prefixTier{backend: be, pageTokens: pageTokens, pi: pi}, nil
 }
 
 // insertable returns the block-aligned token count of prompt that may
@@ -243,20 +219,12 @@ func (s *Server) tryPrefixPrefill(a *active, backend attention.Backend) (int, bo
 	if max <= 0 {
 		return 0, false
 	}
-	if !t.breaker.Allow() {
-		// Tier breaker open: degrade to cold without touching the
-		// backend — no lookup, and (for a remote tier) no dial.
-		s.rec.prefixSkips.Add(1)
-		return 0, false
-	}
 	match, err := t.backend.Lookup(a.req.Seed, a.req.Prompt, max)
 	if err != nil {
 		s.rec.prefixErrors.Add(1)
-		t.breaker.Failure()
 		return 0, false
 	}
 	if match == nil || match.Tokens <= 0 {
-		t.breaker.Success() // a miss is still a healthy tier answering
 		return 0, false
 	}
 	defer match.Release()
@@ -267,10 +235,8 @@ func (s *Server) tryPrefixPrefill(a *active, backend attention.Backend) (int, bo
 	}
 	if err != nil {
 		s.rec.prefixErrors.Add(1)
-		t.breaker.Failure()
 		return 0, false
 	}
-	t.breaker.Success()
 	a.sess = sess
 	// Extend the cached prefix past the matched blocks (the index
 	// builds only the blocks it is missing).
@@ -361,10 +327,6 @@ func (s *Server) insertPrefix(a *active) {
 	if upTo <= 0 {
 		return
 	}
-	if !t.breaker.Allow() {
-		s.rec.prefixSkips.Add(1)
-		return
-	}
 	spec := s.cfg.Spec
 	_, err := t.backend.Insert(a.req.Seed, a.req.Prompt, upTo, func(lo, hi int) ([]*netsim.KVFrame, error) {
 		frames := make([]*netsim.KVFrame, 0, spec.Layers*spec.Heads)
@@ -391,8 +353,5 @@ func (s *Server) insertPrefix(a *active) {
 	})
 	if err != nil {
 		s.rec.prefixErrors.Add(1)
-		t.breaker.Failure()
-		return
 	}
-	t.breaker.Success()
 }

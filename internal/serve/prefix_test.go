@@ -3,10 +3,10 @@ package serve
 import (
 	"context"
 	"errors"
-	"net"
+	"slices"
 	"strings"
+	"sync/atomic"
 	"testing"
-	"time"
 
 	"github.com/hackkv/hack/internal/attention"
 	"github.com/hackkv/hack/internal/kvcache"
@@ -212,87 +212,72 @@ func TestPrefixSnapshotOmittedWhenDisabled(t *testing.T) {
 	}
 }
 
-// TestRemotePrefixCacheRoundTrip exercises the wire-framed tier stub:
-// two serving replicas share one cache node over TCP, so a prompt
-// prefilled on replica A warm-starts on replica B with an identical
-// stream.
-func TestRemotePrefixCacheRoundTrip(t *testing.T) {
-	spec := model.Toy()
-	hello := netsim.Hello{
-		Method: "HACK", SpecName: "toy", Vocab: spec.Vocab, ModelSeed: 0,
-	}
-	shared, err := NewPrefixCache(1<<20, 8, 8, prefixBytesPerToken(spec, 8, 2, 8))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	node := ServePrefixCache(ln, shared, hello)
-	defer node.Close()
-
-	dial := func() PrefixCacheBackend {
-		t.Helper()
-		conn, err := net.Dial("tcp", ln.Addr().String())
-		if err != nil {
-			t.Fatal(err)
-		}
-		be, err := NewRemotePrefixCache(conn, hello)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return be
-	}
-	newReplica := func() *Server {
-		cfg := prefixServerConfig(0)
-		cfg.PrefixCache = dial()
-		return newTestServer(t, cfg)
-	}
-	a, b := newReplica(), newReplica()
-	prompt := promptFor(4, 21, spec.Vocab)
-
-	coldA := submitOne(t, a, prompt, 9)
-	warmB := submitOne(t, b, prompt, 9)
-	for i := range coldA {
-		if coldA[i] != warmB[i] {
-			t.Fatalf("token %d: replica A %d, replica B %d", i, coldA[i], warmB[i])
-		}
-	}
-	if pcB := b.Metrics().PrefixCache; pcB.Hits != 1 || pcB.TokensReused != 16 {
-		t.Fatalf("replica B stats %+v, want 1 hit of 16 tokens", pcB)
-	}
-	st, err := shared.Stats()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Hits != 1 || st.Inserts != 2 {
-		t.Fatalf("cache node stats %+v", st)
-	}
+// faultyPrefixTier is a PrefixCacheBackend that fails on every
+// request's path. With err set, Lookup and Insert return it; otherwise
+// Lookup returns a one-block match whose block carries no frames, which
+// the restore must reject, and Insert succeeds without caching.
+type faultyPrefixTier struct {
+	err      error
+	released atomic.Int64
 }
 
-// TestRemotePrefixCacheRefusesMismatch checks the deployment guard:
-// a client advertising a different model seed is refused at handshake.
-func TestRemotePrefixCacheRefusesMismatch(t *testing.T) {
-	spec := model.Toy()
-	shared, err := NewPrefixCache(1<<20, 8, 8, prefixBytesPerToken(spec, 8, 2, 8))
-	if err != nil {
-		t.Fatal(err)
+func (f *faultyPrefixTier) Lookup(seed int64, prompt []int, maxTokens int) (*PrefixMatch, error) {
+	if f.err != nil {
+		return nil, f.err
 	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
+	return &PrefixMatch{Tokens: 8, Blocks: [][]*netsim.KVFrame{{}},
+		release: func() { f.released.Add(1) }}, nil
+}
+
+func (f *faultyPrefixTier) Insert(int64, []int, int, func(lo, hi int) ([]*netsim.KVFrame, error)) (int, error) {
+	return 0, f.err
+}
+
+func (f *faultyPrefixTier) Stats() (PrefixCacheStats, error) { return PrefixCacheStats{}, nil }
+
+func (f *faultyPrefixTier) Close() error { return nil }
+
+// TestPrefixTierErrorFallsBackCold pins the tier's error contract: a
+// tier that errors, or hands back pages the restore rejects, costs each
+// request a cold prefill and an Errors count — never the request. Every
+// stream must equal a server's built without the tier.
+func TestPrefixTierErrorFallsBackCold(t *testing.T) {
+	ref := newTestServer(t, Config{
+		PrefillWorkers: 1, DecodeParallelism: 1, MaxBatch: 4, MaxNewTokens: 8,
+		Backend: prefixTestBackend,
+	})
+	vocab := ref.Spec().Vocab
+	// Three prompts, each sent twice, so a working tier would hit.
+	const n = 6
+	prompt := func(i int) []int { return promptFor(i%3, 21, vocab) }
+	want := make([][]int, n)
+	for i := range want {
+		want[i] = submitOne(t, ref, prompt(i), int64(i%3))
 	}
-	node := ServePrefixCache(ln, shared, netsim.Hello{Method: "HACK", SpecName: "toy", Vocab: spec.Vocab})
-	defer node.Close()
-	conn, err := net.Dial("tcp", ln.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	_ = conn.SetDeadline(time.Now().Add(5 * time.Second))
-	_, err = NewRemotePrefixCache(conn, netsim.Hello{Method: "HACK", SpecName: "toy", Vocab: spec.Vocab, ModelSeed: 999})
-	if err == nil {
-		t.Fatal("mismatched deployment accepted")
+
+	for name, tc := range map[string]struct {
+		tier *faultyPrefixTier
+		errs int64
+	}{
+		"erroring":  {&faultyPrefixTier{err: errors.New("tier down")}, 2 * n}, // lookup + insert
+		"bad-pages": {&faultyPrefixTier{}, n},                                 // restore
+	} {
+		s := newTestServer(t, prefixServerConfig(1<<20))
+		s.prefix.backend = tc.tier
+		for i := 0; i < n; i++ {
+			if got := submitOne(t, s, prompt(i), int64(i%3)); !slices.Equal(got, want[i]) {
+				t.Fatalf("%s: request %d streamed %v, tierless server %v", name, i, got, want[i])
+			}
+		}
+		snap := s.Metrics()
+		if snap.Failed != 0 {
+			t.Fatalf("%s: %d requests failed on the tier", name, snap.Failed)
+		}
+		if snap.PrefixCache.Errors != tc.errs {
+			t.Fatalf("%s: tier errors %d, want %d", name, snap.PrefixCache.Errors, tc.errs)
+		}
+		if tc.tier.err == nil && tc.tier.released.Load() != n {
+			t.Fatalf("%s: %d of %d rejected matches released", name, tc.tier.released.Load(), n)
+		}
 	}
 }

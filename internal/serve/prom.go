@@ -64,17 +64,6 @@ func (s Snapshot) WritePrometheus(w io.Writer, prefix string) error {
 		gauge("prefix_nodes", "Resident prefix-cache blocks.", strconv.Itoa(pc.Nodes))
 		gauge("prefix_bytes", "Resident prefix-cache bytes.", strconv.FormatInt(pc.BytesUsed, 10))
 		gauge("prefix_bytes_budget", "Prefix-cache byte budget.", strconv.FormatInt(pc.BytesBudget, 10))
-		counter("prefix_cold_fallbacks_total", "Tier calls refused by the open prefix breaker.", pc.ColdFallbacks)
-		counter("prefix_breaker_trips_total", "Prefix-tier breaker open transitions.", pc.Breaker.Trips)
-		counter("prefix_breaker_probes_total", "Prefix-tier breaker half-open probes.", pc.Breaker.Probes)
-		breakerState := 0
-		switch pc.Breaker.State {
-		case "open":
-			breakerState = 1
-		case "half-open":
-			breakerState = 2
-		}
-		gauge("prefix_breaker_state", "Prefix-tier breaker position (0=closed, 1=open, 2=half-open).", strconv.Itoa(breakerState))
 	}
 	summary("ttft_seconds", "Time to first token.", s.TTFT)
 	summary("tbt_seconds", "Mean time between tokens.", s.TBT)

@@ -78,33 +78,20 @@ type Config struct {
 	// serially — the deterministic single-worker mode.
 	DecodeParallelism int
 
-	// PrefixCacheBytes > 0 enables the shared-prefix KV tier with that
-	// byte budget: requests whose prompts share a block-aligned prefix
-	// (within one quantizer seed) reuse the cached quantized pages and
-	// skip prefill over the matched span, streaming tokens that are
+	// PrefixCacheBytes > 0 enables the in-process shared-prefix KV tier
+	// with that byte budget: requests whose prompts share a block-aligned
+	// prefix (within one quantizer seed) reuse the cached quantized pages
+	// and skip prefill over the matched span, streaming tokens that are
 	// byte-identical to a cold prefill of the same (prompt, seed) — and
 	// so to a server without the tier. The attention backend must export
 	// pages (attention.PrefixBackend: HACK with RQE and no eviction).
+	// Requests never fail on the tier: a tier error is counted and the
+	// request takes a cold prefill.
 	PrefixCacheBytes int64
 	// PrefixCachePageTokens is the tier's block granularity in tokens;
 	// it must be a positive multiple of the backend's partition Π.
 	// 0 selects Π itself.
 	PrefixCachePageTokens int
-	// PrefixCache plugs in an external tier backend (e.g. a remote
-	// cache node via NewRemotePrefixCacheDialer) instead of the
-	// in-process index; it is not closed on Shutdown. Setting it
-	// enables the tier regardless of PrefixCacheBytes.
-	PrefixCache PrefixCacheBackend
-	// The prefix tier sits behind a circuit breaker: after
-	// PrefixBreakerThreshold consecutive tier failures (default 3) the
-	// server stops calling the backend entirely — every request takes
-	// the cold path with no lookup, no insert, and, for a remote tier,
-	// no per-request dial storm — then re-probes with single requests
-	// after PrefixBreakerCooldown (default 1s). Requests never fail on
-	// the tier either way; the breaker only bounds the cost of a dead
-	// or flapping cache node.
-	PrefixBreakerThreshold int
-	PrefixBreakerCooldown  time.Duration
 }
 
 // Request is one generation job.
@@ -275,7 +262,7 @@ func New(cfg Config) (*Server, error) {
 		}
 	}
 	var prefix *prefixTier
-	if cfg.PrefixCacheBytes > 0 || cfg.PrefixCache != nil {
+	if cfg.PrefixCacheBytes > 0 {
 		var err error
 		if prefix, err = newPrefixTier(cfg); err != nil {
 			return nil, err
@@ -418,7 +405,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 			close(s.admit)
 		}
 		s.batchWG.Wait()
-		if !already && s.prefix != nil && s.prefix.owned {
+		if !already && s.prefix != nil {
 			_ = s.prefix.backend.Close()
 		}
 		close(done)
