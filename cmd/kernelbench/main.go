@@ -112,17 +112,59 @@ func main() {
 		rep.Speedups[fmt.Sprintf("decode_pi%d", pi)] = scalar.NsPerOp / fast.NsPerOp
 	}
 
+	// The served decode shape: the Toy model's d_h 32 head at Π 64 over
+	// a 1024-token context. d_h < Π makes Q·Kᵀ one partial partition per
+	// row (the blocked tile's single-partition path), and the P·V row runs
+	// the paired-row sweep. The operands do not shrink under -quick, so
+	// the speedups compare across both modes.
+	{
+		const l, dh, pi = 1024, 32, 64
+		rng := rand.New(rand.NewSource(7))
+		q := quantize(rng, 1, dh, 8, pi, quant.AlongCols)
+		kT := quantize(rng, l, dh, 2, pi, quant.AlongCols)
+		p := quantize(rng, 1, l, 8, pi, quant.AlongCols)
+		v := quantize(rng, l, dh, 2, pi, quant.AlongRows)
+		dst := &tensor.Matrix{}
+		fast := add(measure(fmt.Sprintf("MatMulTransB/decode_1x%dx%d/pi%d", dh, l, pi), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				hack.MatMulTransBInto(dst, q, kT, opt)
+			}
+		}))
+		scalar := add(measure(fmt.Sprintf("MatMulTransBScalar/decode_1x%dx%d/pi%d", dh, l, pi), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				hack.MatMulTransBScalar(q, kT, opt)
+			}
+		}))
+		rep.Speedups["decode_qk_dh32_pi64"] = scalar.NsPerOp / fast.NsPerOp
+		fast = add(measure(fmt.Sprintf("MatMul/decode_1x%dx%d/pi%d", l, dh, pi), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				hack.MatMulInto(dst, p, v, opt)
+			}
+		}))
+		scalar = add(measure(fmt.Sprintf("MatMulScalar/decode_1x%dx%d/pi%d", l, dh, pi), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				hack.MatMulScalar(p, v, opt)
+			}
+		}))
+		rep.Speedups["decode_pv_dh32_pi64"] = scalar.NsPerOp / fast.NsPerOp
+	}
+
 	// The multi-row kernel tile: scoring k query rows against a long
 	// cache in one k-row Q·Kᵀ call versus k single-row calls over the
 	// same cache. The k-row call takes the column-outer tiling and the
 	// register-blocked multi-row MADD kernels (verifyTile), so each loaded
 	// cache row is scored against every resident query row. The speedup
-	// is one k-row call over k singles. The SpecVerify names and the
-	// spec_decode key stay as they are so committed BENCH_kernels.json
-	// baselines still match.
+	// is one k-row call over k singles. Π is 64, so a 128-wide row spans
+	// two partitions: rows of one partition take the single-row path at
+	// any row count. The SpecVerify names and the spec_decode key stay as
+	// they are so committed BENCH_kernels.json baselines still match.
 	{
 		const k = 8
-		pi := 128
+		pi := 64
 		rng := rand.New(rand.NewSource(6))
 		qs := quantize(rng, k, 128, 8, pi, quant.AlongCols)
 		kT := quantize(rng, decodeL, 128, 2, pi, quant.AlongCols)
@@ -222,11 +264,18 @@ func main() {
 
 	add(measure(fmt.Sprintf("AttentionDecode/HACK_L%d/pi64", attnL), benchAttention(func() (attention.Backend, error) {
 		return attention.NewHACK(attention.DefaultHACKConfig(11))
-	}, attnL)))
+	}, 128, attnL)))
 	add(measure(fmt.Sprintf("AttentionDecode/CacheGen_L%d", attnL), benchAttention(func() (attention.Backend, error) {
 		return attention.NewDequant(attention.DequantConfig{MethodName: "CacheGen", Pi: 96, KVBits: 2,
 			Rounding: quant.StochasticRounding, Seed: 12, WireFactor: 0.9})
-	}, attnL)))
+	}, 128, attnL)))
+	// HACK's decode step against FP16's at the served head width.
+	add(measure("AttentionDecode/HACK_d32_L1024/pi64", benchAttention(func() (attention.Backend, error) {
+		return attention.NewHACK(attention.DefaultHACKConfig(11))
+	}, 32, 1024)))
+	add(measure("AttentionDecode/FP16_d32_L1024", benchAttention(func() (attention.Backend, error) {
+		return attention.FP16Backend{}, nil
+	}, 32, 1024)))
 
 	// Shared-prefix prefill skip: a cold prefill over the whole prompt
 	// versus restoring the leading 3/4 from cached pages and resuming
@@ -334,31 +383,40 @@ func sliceRows(m *tensor.Matrix, lo, hi int) *tensor.Matrix {
 }
 
 // benchAttention returns a benchmark body running one-token decode steps
-// against a prefilled head of the given backend.
-func benchAttention(mk func() (attention.Backend, error), l int) func(b *testing.B) {
+// against a prefilled head of width dh of the given backend. Every 64
+// steps it prefills a fresh head outside the timer, so the context stays
+// within l..l+64 tokens however large b.N grows.
+func benchAttention(mk func() (attention.Backend, error), dh, l int) func(b *testing.B) {
 	return func(b *testing.B) {
 		backend, err := mk()
 		if err != nil {
 			b.Fatal(err)
 		}
-		h, err := backend.NewHead(128)
-		if err != nil {
-			b.Fatal(err)
-		}
 		rng := rand.New(rand.NewSource(4))
-		if _, _, err := h.Prefill(tensor.RandNormal(rng, l, 128, 1),
-			tensor.RandNormal(rng, l, 128, 1), tensor.RandNormal(rng, l, 128, 1)); err != nil {
-			b.Fatal(err)
-		}
-		dq := tensor.RandNormal(rng, 1, 128, 1)
-		dk := tensor.RandNormal(rng, 1, 128, 1)
-		dv := tensor.RandNormal(rng, 1, 128, 1)
-		if _, _, err := h.Decode(dq, dk, dv); err != nil {
-			b.Fatal(err)
-		}
+		q := tensor.RandNormal(rng, l, dh, 1)
+		k := tensor.RandNormal(rng, l, dh, 1)
+		v := tensor.RandNormal(rng, l, dh, 1)
+		dq := tensor.RandNormal(rng, 1, dh, 1)
+		dk := tensor.RandNormal(rng, 1, dh, 1)
+		dv := tensor.RandNormal(rng, 1, dh, 1)
+		var h attention.Head
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
+			if i%64 == 0 {
+				b.StopTimer()
+				if h, err = backend.NewHead(dh); err != nil {
+					b.Fatal(err)
+				}
+				if _, _, err := h.Prefill(q.Clone(), k.Clone(), v.Clone()); err != nil {
+					b.Fatal(err)
+				}
+				// Warm the head's scratch high-water marks.
+				if _, _, err := h.Decode(dq, dk, dv); err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
+			}
 			if _, _, err := h.Decode(dq, dk, dv); err != nil {
 				b.Fatal(err)
 			}

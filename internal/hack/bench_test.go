@@ -7,6 +7,7 @@ package hack_test
 // BENCH_kernels.json trajectory file the README documents.
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -131,33 +132,71 @@ func BenchmarkAttentionDecode(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			h, err := backend.NewHead(128)
-			if err != nil {
+			benchDecode(b, backend, 128, 2048)
+		})
+	}
+}
+
+// BenchmarkAttentionDecodeServed is one decode step at the shape the
+// serving benchmark runs: the Toy model's d_h 32 head, HACK at Π 64,
+// over a chat-length (128) and a long (1024) context. There d_h < Π, so
+// Q·Kᵀ takes the blocked tile over one partial partition, and the
+// single-row P·V takes the paired-row sweep. FP16 is the baseline
+// HACK's decode is compared against.
+func BenchmarkAttentionDecodeServed(b *testing.B) {
+	for _, c := range []struct {
+		name    string
+		backend func() (attention.Backend, error)
+	}{
+		{"HACK", func() (attention.Backend, error) { return attention.NewHACK(attention.DefaultHACKConfig(11)) }},
+		{"FP16", func() (attention.Backend, error) { return attention.FP16Backend{}, nil }},
+	} {
+		for _, l := range []int{128, 1024} {
+			b.Run(fmt.Sprintf("%s/ctx%d", c.name, l), func(b *testing.B) {
+				backend, err := c.backend()
+				if err != nil {
+					b.Fatal(err)
+				}
+				benchDecode(b, backend, 32, l)
+			})
+		}
+	}
+}
+
+// benchDecode times one-token decode steps of a head of width dh over a
+// context of l to l+64 tokens: every 64 steps, untimed, it prefills a
+// fresh head, so the context does not grow with b.N.
+func benchDecode(b *testing.B, backend attention.Backend, dh, l int) {
+	b.Helper()
+	rng := rand.New(rand.NewSource(4))
+	q := tensor.RandNormal(rng, l, dh, 1)
+	k := tensor.RandNormal(rng, l, dh, 1)
+	v := tensor.RandNormal(rng, l, dh, 1)
+	dq := tensor.RandNormal(rng, 1, dh, 1)
+	dk := tensor.RandNormal(rng, 1, dh, 1)
+	dv := tensor.RandNormal(rng, 1, dh, 1)
+	var h attention.Head
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if i%64 == 0 {
+			b.StopTimer()
+			var err error
+			if h, err = backend.NewHead(dh); err != nil {
 				b.Fatal(err)
 			}
-			rng := rand.New(rand.NewSource(4))
-			const l = 2048
-			q := tensor.RandNormal(rng, l, 128, 1)
-			k := tensor.RandNormal(rng, l, 128, 1)
-			v := tensor.RandNormal(rng, l, 128, 1)
-			if _, _, err := h.Prefill(q, k, v); err != nil {
+			if _, _, err := h.Prefill(q.Clone(), k.Clone(), v.Clone()); err != nil {
 				b.Fatal(err)
 			}
-			dq := tensor.RandNormal(rng, 1, 128, 1)
-			dk := tensor.RandNormal(rng, 1, 128, 1)
-			dv := tensor.RandNormal(rng, 1, 128, 1)
 			// Warm the head's scratch high-water marks.
 			if _, _, err := h.Decode(dq, dk, dv); err != nil {
 				b.Fatal(err)
 			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, _, err := h.Decode(dq, dk, dv); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+			b.StartTimer()
+		}
+		if _, _, err := h.Decode(dq, dk, dv); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
@@ -171,27 +210,5 @@ func BenchmarkAttentionDecodeDequant(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	h, err := backend.NewHead(128)
-	if err != nil {
-		b.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(5))
-	const l = 2048
-	if _, _, err := h.Prefill(tensor.RandNormal(rng, l, 128, 1),
-		tensor.RandNormal(rng, l, 128, 1), tensor.RandNormal(rng, l, 128, 1)); err != nil {
-		b.Fatal(err)
-	}
-	dq := tensor.RandNormal(rng, 1, 128, 1)
-	dk := tensor.RandNormal(rng, 1, 128, 1)
-	dv := tensor.RandNormal(rng, 1, 128, 1)
-	if _, _, err := h.Decode(dq, dk, dv); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := h.Decode(dq, dk, dv); err != nil {
-			b.Fatal(err)
-		}
-	}
+	benchDecode(b, backend, 128, 2048)
 }

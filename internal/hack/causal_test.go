@@ -44,13 +44,16 @@ func staleTensor(n int) *quant.Tensor {
 //   - CausalMatMulInto of those probabilities equals MatMulScalar.
 //
 // It covers Π ∈ {32, 64, 128}, offsets on both sides of a partition
-// boundary and past the rows, and row counts from one through 3Π. Up to
-// verifyRowsMax rows the AVX2 block tile runs multi-row groups of eight,
-// four and one (verifyTile): 4, 8 and 32 fill whole groups, 7 and 9
-// leave single rows, 13 and Π−1 = 31 end in 8+4+1 remainders; above it
-// the row-outer path runs. Head widths are served by the generic tile
-// (32) and the block tile (2Π), 8-bit KV takes the pure-Go dot, and
-// fan-out is serial and parallel, with SE on and off.
+// boundary and past the rows, and row counts from one through 3Π. Head
+// width 2Π spans two partitions: up to verifyRowsMax rows the AVX2 block
+// tile runs multi-row groups of eight, four and one (verifyTile) — 4, 8
+// and 32 fill whole groups, 7 and 9 leave single rows, 13 and Π−1 = 31
+// end in 8+4+1 remainders — and above it the row-outer path runs. Head
+// width 32 is one partition (partial at Π > 32), which takes the
+// row-outer single-partition path at every row count. Width 48 is a
+// partial partition that is not a multiple of 32 and takes the generic
+// tile, 8-bit KV takes the pure-Go dot, and fan-out is serial and
+// parallel, with SE on and off.
 func TestCausalKernelsMatchFullThenMask(t *testing.T) {
 	dst := &tensor.Matrix{}
 	for _, pi := range []int{32, 64, 128} {
@@ -60,7 +63,7 @@ func TestCausalKernelsMatchFullThenMask(t *testing.T) {
 				keys := rows + offset
 				name := fmt.Sprintf("pi=%d offset=%d rows=%d", pi, offset, rows)
 				qCfg := quant.Config{Bits: 8, Partition: pi, Rounding: quant.StochasticRounding, Key: 0x51, Row0: offset}
-				for _, g := range []struct{ dh, kvBits int }{{32, 2}, {2 * pi, 2}, {32, 8}} {
+				for _, g := range []struct{ dh, kvBits int }{{32, 2}, {48, 2}, {2 * pi, 2}, {32, 8}} {
 					qq := quant.MustQuantize(tensor.RandNormal(rng, rows, g.dh, 1), quant.AlongCols, qCfg)
 					kq := q(tensor.RandNormal(rng, keys, g.dh, 1), quant.AlongCols, g.kvBits, pi, rng)
 					want, _ := MatMulTransBScalar(qq, kq, DefaultOptions())

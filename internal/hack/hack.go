@@ -222,40 +222,60 @@ const packAmortRows = 128
 // sweepRows computes an M-row (M < packMinRows) product against B in its
 // original row-major layout: for each partition, the inner rows of B
 // stream contiguously while every output column accumulates in
-// ks.accs — no packing pass, no strided reads. Integer accumulation is
-// exact and each output element applies its Eq. (4) correction in
-// ascending block order with the scalar kernel's expression, so the
-// result is bit-identical to the reference. Under a causal mask row i
-// stops at its last live partition. Runs serially: decode-shaped callers
-// parallelize across heads, not within this product.
-func sweepRows(dst *tensor.Matrix, a *quant.Tensor, ks *kernelScratch, bCodes []uint8,
-	bMin, bScale []float32, bSums []int32, mk mask, m, z, n int) {
+// ks.accs — no packing pass, no strided reads. Under AVX2 the rows go
+// through sweepPairs two at a time over the leading multiple of 32
+// columns; the scalar loop is the reference and covers what the kernel
+// leaves, the odd last row of a partition and the columns past it.
+// Integer accumulation is exact and each output element applies its
+// Eq. (4) correction in ascending block order with the scalar kernel's
+// expression, so the result is bit-identical to the reference. Under a
+// causal mask row i stops at its last live partition. Runs serially:
+// decode-shaped callers parallelize across heads, not within this
+// product.
+func sweepRows(dst *tensor.Matrix, a, b *quant.Tensor, ks *kernelScratch, bSums []int32, mk mask) {
+	m, z, n := a.Rows, a.Cols, b.Cols
 	nb := a.NBlocks
 	ks.accs = tensor.Grow(ks.accs, n)
 	accs := ks.accs[:n]
+	mode := maddFor(a.Bits, b.Bits)
+	cols, run := 0, 0 // the columns sweepPairs covers, and its uint16 run
+	if mode != maddOff {
+		cols, run = n&^31, pairRun(a.Bits, b.Bits)
+	}
 	for i := 0; i < m; i++ {
 		aRow := a.Codes[i*z : (i+1)*z]
 		oRow := dst.Row(i)
 		for g, live := 0, mk.blocks(i, a.Pi, z); g < live; g++ {
 			lo, hi := a.BlockRange(g)
 			blockLen := float32(hi - lo)
-			for j := range accs {
-				accs[j] = 0
+			clear(accs)
+			paired := lo // rows [lo, paired) went through sweepPairs
+			if pairs := (hi - lo) / 2; cols > 0 && pairs > 0 {
+				sweepPairs(mode, &aRow[lo], &b.Codes[lo*n], n, cols, pairs, run, &accs[0])
+				paired = lo + 2*pairs
 			}
-			for k := lo; k < hi; k++ {
+			from := lo // rows before paired lack only columns past cols
+			if cols == n {
+				from = paired
+			}
+			for k := from; k < hi; k++ {
 				av := int32(aRow[k])
 				if av == 0 {
 					continue
 				}
-				brow := bCodes[k*n : (k+1)*n]
-				for j, c := range brow {
-					accs[j] += av * int32(c)
+				j0 := cols
+				if k >= paired {
+					j0 = 0
+				}
+				acc := accs[j0:]
+				for j, c := range b.Codes[k*n+j0 : (k+1)*n] {
+					acc[j] += av * int32(c)
 				}
 			}
 			ma, sa := a.Meta(i, g)
 			aSum := float32(a.Sum(i, g))
 			for j := 0; j < n; j++ {
-				mb, sb := bMin[j*nb+g], bScale[j*nb+g]
+				mb, sb := b.Min[j*nb+g], b.Scale[j*nb+g]
 				bSum := float32(bSums[j*nb+g])
 				// Eq. (4) correction terms, scalar expression and order.
 				oRow[j] += sa*sb*float32(accs[j]) +
@@ -265,6 +285,24 @@ func sweepRows(dst *tensor.Matrix, a *quant.Tensor, ks *kernelScratch, bCodes []
 			}
 		}
 	}
+}
+
+// sweepPairs dispatches the paired-row P·V kernel on the MADD mode: the
+// operand whose codes fit 6 bits rides in VPMADDUBSW's signed lane.
+func sweepPairs(mode maddMode, p, v *uint8, stride, cols, pairs, run int, acc *int32) {
+	if mode == maddBSigned {
+		sweepPairsV(p, v, stride, cols, pairs, run, acc)
+	} else {
+		sweepPairsP(p, v, stride, cols, pairs, run, acc)
+	}
+}
+
+// pairRun is how many row-pair sums sweepPairs may add in a uint16 lane
+// before widening: each is at most 2·(2^aBits−1)·(2^bBits−1), and their
+// total must stay below 2¹⁶. Under either MADD mode one side fits 6 bits,
+// so the run is at least 2 (2·255·63 = 32130).
+func pairRun(aBits, bBits int) int {
+	return 0xFFFF / (2 * (1<<aBits - 1) * (1<<bBits - 1))
 }
 
 // MatMul computes the homomorphic-quantized product of a (M×Z, quantized
@@ -327,7 +365,7 @@ func CausalMatMulInto(dst *tensor.Matrix, a, b *quant.Tensor, offset int, opt Op
 	}
 
 	if m < packMinRows || m*packAmortRows < z {
-		sweepRows(dst, a, ks, b.Codes, b.Min, b.Scale, bSums, mk, m, z, n)
+		sweepRows(dst, a, b, ks, bSums, mk)
 	} else {
 		// Pack B transposed: column j's codes become the contiguous run
 		// ks.panel[j·z : (j+1)·z]. Reads stream row-major.
@@ -463,8 +501,10 @@ func (mk mask) rowCuts(cuts []int, w, pi, m, z, n int) []int {
 // holds B with per-output-column contiguous inner runs (bCodes[j·z+k]),
 // bMin/bScale/bSums its vector-major metadata. Two inner kernels exist:
 // the AVX2 block kernel computes every partition dot of a row pair in
-// one call (eligible when the partitions are full multiples of 32, the
-// usual d_h/Π geometry), and the generic tile handles everything else.
+// one call (eligible when every partition has the same length, a
+// multiple of 32: full partitions, or one partial partition when z < Π,
+// the decode Q·Kᵀ of a head narrower than Π), and the generic tile
+// handles everything else.
 // Both accumulate each output element's per-block terms in ascending
 // block order with the scalar kernel's exact float expression, so any
 // tiling and either kernel is bit-identical to the reference. Row-split
@@ -474,7 +514,8 @@ func runTiles(dst *tensor.Matrix, a *quant.Tensor, ks *kernelScratch, bCodes []u
 	bMin, bScale []float32, bSums []int32, bBits int, opt Options, mk mask, m, z, n int) {
 	nb := a.NBlocks
 	mode := maddFor(a.Bits, bBits)
-	blocked := mode != maddOff && a.Pi%32 == 0 && nb*a.Pi == z && nb <= maxBlockedNB
+	bl := blockedLen(a)
+	blocked := mode != maddOff && bl%32 == 0 && nb*bl == z && nb <= maxBlockedNB
 	if !blocked {
 		packMeta(ks, bMin, bScale, bSums, n, nb)
 	}
@@ -504,17 +545,27 @@ func runTiles(dst *tensor.Matrix, a *quant.Tensor, ks *kernelScratch, bCodes []u
 	}
 }
 
+// blockedLen is the length of every partition of a row of a when they are
+// all equal, as blockedTile requires: Π, or z for a row shorter than one
+// partition.
+func blockedLen(a *quant.Tensor) int { return min(a.Pi, a.Cols) }
+
 // blockedTile computes output rows [rlo, rhi) × columns [clo, chi) with
-// one dotU8MADDBlocks call per output element covering all of the row's
-// live partitions, over the row's live columns.
+// one MADD kernel call covering all of a row's live partitions for eight
+// columns at once (dotU8MADDCols8, B signed) or for one column
+// (dotU8MADDBlocks), over the row's live columns.
 func blockedTile(dst *tensor.Matrix, a *quant.Tensor, bCodes []uint8,
 	bMin, bScale []float32, bSums []int32, mode maddMode, mk mask, rlo, rhi, clo, chi int) {
 	z := a.Cols
 	nb := a.NBlocks
 	pi := a.Pi
-	blockLen := float32(pi)
-	var accs [maxBlockedNB]int32
-	if rhi-rlo > 1 && rhi-rlo <= verifyRowsMax {
+	bl := blockedLen(a)
+	blockLen := float32(bl)
+	var accs [8 * maxBlockedNB]int32
+	// A row of one partition takes oneBlockCols at any row count: its
+	// vector corrections beat the row groups' scalar ones.
+	onePart := nb == 1 && mode == maddBSigned
+	if rhi-rlo > 1 && rhi-rlo <= verifyRowsMax && !onePart {
 		// Multi-row shape: a handful of query rows against a long cache
 		// (a short prefill, or one worker's row-split tile). The rows are
 		// processed in register-blocked groups of eight, then four, then
@@ -548,32 +599,67 @@ func blockedTile(dst *tensor.Matrix, a *quant.Tensor, bCodes []uint8,
 		aSums := a.Sums[i*nb : (i+1)*nb]
 		oRow := dst.Row(i)
 		live := mk.blocks(i, pi, z)
-		for j, jhi := clo, min(chi, mk.cols(i, dst.Cols)); j < jhi; j++ {
-			bRow := bCodes[j*z : (j+1)*z]
-			if mode == maddBSigned {
-				dotU8MADDBlocks(&aRow[0], &bRow[0], live, pi, &accs[0])
+		j, jhi := clo, min(chi, mk.cols(i, dst.Cols))
+		if onePart && live == 1 {
+			k := [4]float32{aScale[0], aMin[0], float32(aSums[0]), blockLen * aMin[0]}
+			j = oneBlockCols(oRow, aRow, bCodes, bMin, bScale, bSums, &k, j, jhi)
+		}
+		for j < jhi {
+			// w columns per kernel call; accs[g·w+c] is column j+c's
+			// block-g dot.
+			w := 1
+			if mode == maddBSigned && jhi-j >= 8 {
+				w = 8
+				dotU8MADDCols8(&aRow[0], &bCodes[j*z], z, live, bl, &accs[0])
+			} else if bRow := bCodes[j*z : (j+1)*z]; mode == maddBSigned {
+				dotU8MADDBlocks(&aRow[0], &bRow[0], live, bl, &accs[0])
 			} else {
-				dotU8MADDBlocks(&bRow[0], &aRow[0], live, pi, &accs[0])
+				dotU8MADDBlocks(&bRow[0], &aRow[0], live, bl, &accs[0])
 			}
-			bMinJ := bMin[j*nb : (j+1)*nb]
-			bScaleJ := bScale[j*nb : (j+1)*nb]
-			bSumJ := bSums[j*nb : (j+1)*nb]
-			v := oRow[j]
-			for g := 0; g < live; g++ {
-				ma, sa := aMin[g], aScale[g]
-				aSum := float32(aSums[g])
-				mb, sb := bMinJ[g], bScaleJ[g]
-				bSum := float32(bSumJ[g])
-				// Eq. (4) correction terms, in the scalar kernel's exact
-				// expression and block order.
-				v += sa*sb*float32(accs[g]) +
-					mb*sa*aSum +
-					ma*sb*bSum +
-					blockLen*ma*mb
+			for c := 0; c < w; c++ {
+				jc := j + c
+				bMinJ := bMin[jc*nb : (jc+1)*nb]
+				bScaleJ := bScale[jc*nb : (jc+1)*nb]
+				bSumJ := bSums[jc*nb : (jc+1)*nb]
+				v := oRow[jc]
+				for g := 0; g < live; g++ {
+					ma, sa := aMin[g], aScale[g]
+					aSum := float32(aSums[g])
+					mb, sb := bMinJ[g], bScaleJ[g]
+					bSum := float32(bSumJ[g])
+					// Eq. (4) correction terms, in the scalar kernel's exact
+					// expression and block order.
+					v += sa*sb*float32(accs[g*w+c]) +
+						mb*sa*aSum +
+						ma*sb*bSum +
+						blockLen*ma*mb
+				}
+				oRow[jc] = v
 			}
-			oRow[j] = v
+			j += w
 		}
 	}
+}
+
+// oneBlockCols is blockedTile's row loop when a row is one partition
+// (nb = 1, so the corrections have no block order to keep): B's
+// metadata is then contiguous across columns, and columns [j, jhi) run
+// in multiples of eight through dotU8MADDCols8 and the vector
+// correction correctCols. k is the row's {sa, ma, aSum, blockLen·ma}.
+// It returns the first column left for the caller's per-column tail.
+func oneBlockCols(oRow []float32, aRow, bCodes []uint8, bMin, bScale []float32, bSums []int32,
+	k *[4]float32, j, jhi int) int {
+	z := len(aRow)
+	var dots [256]int32
+	for jhi-j >= 8 {
+		w := min(len(dots), (jhi-j)&^7)
+		for c := 0; c < w; c += 8 {
+			dotU8MADDCols8(&aRow[0], &bCodes[(j+c)*z], z, 1, z, &dots[c])
+		}
+		correctCols(&oRow[j], &dots[0], &bMin[j], &bScale[j], &bSums[j], w, k)
+		j += w
+	}
+	return j
 }
 
 // verifyTileBuf is the per-call dot buffer of verifyTile in int32s:
@@ -601,7 +687,8 @@ func verifyTile(dst *tensor.Matrix, a *quant.Tensor, bCodes []uint8,
 	z := a.Cols
 	nb := a.NBlocks
 	pi := a.Pi
-	blockLen := float32(pi)
+	bl := blockedLen(a)
+	blockLen := float32(bl)
 	last := i0 + gw - 1
 	live := mk.blocks(last, pi, z)
 	chi = min(chi, mk.cols(last, dst.Cols))
@@ -628,16 +715,16 @@ func verifyTile(dst *tensor.Matrix, a *quant.Tensor, bCodes []uint8,
 			out := &buf[jj*stride]
 			switch gw {
 			case 8:
-				dotU8MADDBlocks8(&a.Codes[i0*z], z, &bRow[0], live, pi, out)
+				dotU8MADDBlocks8(&a.Codes[i0*z], z, &bRow[0], live, bl, out)
 			case 4:
 				dotU8MADDBlocks4(&a.Codes[i0*z], &a.Codes[(i0+1)*z],
-					&a.Codes[(i0+2)*z], &a.Codes[(i0+3)*z], &bRow[0], live, pi, out)
+					&a.Codes[(i0+2)*z], &a.Codes[(i0+3)*z], &bRow[0], live, bl, out)
 			default:
 				aRow := a.Codes[i0*z : (i0+1)*z]
 				if mode == maddBSigned {
-					dotU8MADDBlocks(&aRow[0], &bRow[0], live, pi, out)
+					dotU8MADDBlocks(&aRow[0], &bRow[0], live, bl, out)
 				} else {
-					dotU8MADDBlocks(&bRow[0], &aRow[0], live, pi, out)
+					dotU8MADDBlocks(&bRow[0], &aRow[0], live, bl, out)
 				}
 			}
 		}

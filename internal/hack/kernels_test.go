@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"github.com/hackkv/hack/internal/cpufeat"
 	"github.com/hackkv/hack/internal/quant"
 	"github.com/hackkv/hack/internal/tensor"
 )
@@ -25,6 +26,12 @@ func TestFastKernelsMatchScalarReference(t *testing.T) {
 		{2, 0, 5, 16},       // Z=0
 		{5, 33, 1, 8},       // N=1
 		{1, 200, 1300, 16},  // parallel over columns (M < workers)
+		{1, 32, 1024, 64},   // served decode: d_h 32 is one partial partition
+		{5, 64, 300, 128},   // multi-row groups over one partial partition
+		{1, 1024, 40, 64},   // decode P·V: paired rows plus a column tail
+		{3, 131, 97, 64},    // odd partition lengths: an unpaired last row
+		{40, 32, 1001, 64},  // row-outer over one partial partition, ragged N
+		{2, 97, 32, 64},     // whole-width pairs with an unpaired last row
 	}
 	bitCombos := []struct{ aBits, bBits int }{{8, 2}, {8, 8}, {2, 8}, {4, 4}}
 	for _, sh := range shapes {
@@ -106,5 +113,61 @@ func TestMatMulIntoSteadyStateAllocs(t *testing.T) {
 	})
 	if avg > 0.5 {
 		t.Errorf("steady-state MatMulTransBInto allocates %.1f times per call, want 0", avg)
+	}
+}
+
+// sweepPairs must equal the scalar sweep it replaces — acc[j] +=
+// Σ p[k]·v[k·stride+j] — for every code width pairing maddFor sends
+// it, including all-maximum codes, whose pair sums come closest to the
+// int16 saturation bound and whose runs come closest to the uint16 one.
+// It also covers a stride wider than the swept columns, a single pair,
+// and runs that do not divide the pair count.
+func TestSweepPairsMatchesScalarLoop(t *testing.T) {
+	if !cpufeat.AVX2 {
+		t.Skip("no AVX2")
+	}
+	rng := rand.New(rand.NewSource(12))
+	for _, bits := range []struct{ a, b int }{{8, 2}, {8, 6}, {6, 8}, {2, 8}, {4, 4}, {1, 1}} {
+		mode := maddFor(bits.a, bits.b)
+		if mode == maddOff {
+			t.Fatalf("bits %+v: no MADD mode", bits)
+		}
+		run := pairRun(bits.a, bits.b)
+		for _, sh := range []struct{ pairs, cols, stride int }{{1, 32, 32}, {32, 32, 32}, {32, 64, 80}, {45, 96, 96}, {200, 32, 40}} {
+			for _, maxed := range []bool{false, true} {
+				rows := 2 * sh.pairs
+				p := make([]uint8, rows)
+				v := make([]uint8, rows*sh.stride)
+				for k := range p {
+					p[k] = uint8(1<<bits.a - 1)
+					if !maxed {
+						p[k] = uint8(rng.Intn(1 << bits.a))
+					}
+				}
+				for k := range v {
+					v[k] = uint8(1<<bits.b - 1)
+					if !maxed {
+						v[k] = uint8(rng.Intn(1 << bits.b))
+					}
+				}
+				want := make([]int32, sh.cols)
+				got := make([]int32, sh.cols)
+				for j := range want {
+					want[j] = int32(j) - 7 // the kernel adds into acc
+					got[j] = want[j]
+				}
+				for k := 0; k < rows; k++ {
+					for j := range want {
+						want[j] += int32(p[k]) * int32(v[k*sh.stride+j])
+					}
+				}
+				sweepPairs(mode, &p[0], &v[0], sh.stride, sh.cols, sh.pairs, run, &got[0])
+				for j := range want {
+					if got[j] != want[j] {
+						t.Fatalf("bits %+v %+v maxed=%v: acc[%d] = %d, want %d", bits, sh, maxed, j, got[j], want[j])
+					}
+				}
+			}
+		}
 	}
 }
