@@ -1,16 +1,17 @@
 // Command benchguard is the kernel-bench regression gate CI runs: it
-// compares a fresh cmd/kernelbench report against the committed
+// compares fresh cmd/kernelbench reports against the committed
 // BENCH_kernels.json baseline on the fast-over-scalar speedups — the
 // one metric that is portable across hosts and operand sizes — and
 // fails when any speedup regressed beyond the tolerance.
 //
-//	benchguard -baseline BENCH_kernels.json -fresh /tmp/fresh.json -tol 0.30
+//	benchguard -baseline BENCH_kernels.json -fresh a.json,b.json,c.json -tol 0.30
 //
-// A speedup below baseline·(1−tol) is a regression (exit 1). A speedup
-// above baseline·(1+tol) is only a warning: faster is welcome, but the
-// drift is printed so an improved kernel eventually gets a refreshed
-// committed baseline. Missing keys in the fresh report fail; extra
-// fresh keys (new benchmarks) are reported and pass.
+// -fresh takes a comma-separated list of reports; each speedup is judged
+// on its median across them, so one noisy run cannot trip the gate. A
+// median below baseline·(1−tol) is a regression (exit 1); one above
+// baseline·(1+tol) only warns, so an improved kernel eventually gets a
+// refreshed committed baseline. A baseline key missing from any fresh
+// report fails; extra fresh keys (new benchmarks) are reported and pass.
 package main
 
 import (
@@ -21,6 +22,7 @@ import (
 	"io"
 	"os"
 	"sort"
+	"strings"
 )
 
 func main() {
@@ -79,7 +81,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	fs.SetOutput(stderr)
 	var (
 		basePath  = fs.String("baseline", "BENCH_kernels.json", "committed baseline report")
-		freshPath = fs.String("fresh", "", "fresh kernelbench report to judge (required)")
+		freshList = fs.String("fresh", "", "comma-separated fresh kernelbench reports to judge on their median (required)")
 		tol       = fs.Float64("tol", 0.30, "allowed fractional slowdown before failing (0.30 = -30%)")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -88,7 +90,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		}
 		return usageError{err: err, quiet: true}
 	}
-	if *freshPath == "" {
+	if *freshList == "" {
 		return usageError{err: fmt.Errorf("-fresh is required")}
 	}
 	if *tol <= 0 || *tol >= 1 {
@@ -99,9 +101,13 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if err != nil {
 		return err
 	}
-	fresh, err := load(*freshPath)
-	if err != nil {
-		return err
+	var fresh []*report
+	for _, p := range strings.Split(*freshList, ",") {
+		r, err := load(p)
+		if err != nil {
+			return err
+		}
+		fresh = append(fresh, r)
 	}
 
 	keys := make([]string, 0, len(base.Speedups))
@@ -110,14 +116,14 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 	sort.Strings(keys)
 
-	fmt.Fprintf(stdout, "kernel speedup guard: baseline %s (%d CPU) vs fresh %s (%d CPU), tolerance ±%.0f%%\n",
-		base.GoVersion, base.NumCPU, fresh.GoVersion, fresh.NumCPU, 100**tol)
+	fmt.Fprintf(stdout, "kernel speedup guard: baseline %s (%d CPU) vs median of %d fresh %s (%d CPU), tolerance ±%.0f%%\n",
+		base.GoVersion, base.NumCPU, len(fresh), fresh[0].GoVersion, fresh[0].NumCPU, 100**tol)
 	regressions := 0
 	for _, k := range keys {
 		b := base.Speedups[k]
-		f, ok := fresh.Speedups[k]
+		f, ok := median(fresh, k)
 		if !ok {
-			fmt.Fprintf(stdout, "  FAIL %-16s missing from fresh report\n", k)
+			fmt.Fprintf(stdout, "  FAIL %-16s missing from a fresh report\n", k)
 			regressions++
 			continue
 		}
@@ -135,9 +141,10 @@ func run(args []string, stdout, stderr io.Writer) error {
 		}
 	}
 	extra := 0
-	for k := range fresh.Speedups {
+	for k := range fresh[0].Speedups {
 		if _, ok := base.Speedups[k]; !ok {
-			fmt.Fprintf(stdout, "  new  %-16s %6.2fx (not in baseline)\n", k, fresh.Speedups[k])
+			f, _ := median(fresh, k)
+			fmt.Fprintf(stdout, "  new  %-16s %6.2fx (not in baseline)\n", k, f)
 			extra++
 		}
 	}
@@ -146,4 +153,19 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 	fmt.Fprintf(stdout, "all %d speedups within tolerance (%d new)\n", len(keys), extra)
 	return nil
+}
+
+// median returns key's median speedup across the reports, or false
+// when any of them lacks the key.
+func median(reports []*report, key string) (float64, bool) {
+	vs := make([]float64, 0, len(reports))
+	for _, r := range reports {
+		v, ok := r.Speedups[key]
+		if !ok {
+			return 0, false
+		}
+		vs = append(vs, v)
+	}
+	sort.Float64s(vs)
+	return (vs[(len(vs)-1)/2] + vs[len(vs)/2]) / 2, true
 }

@@ -132,3 +132,51 @@ func TestGuardsCommittedBaseline(t *testing.T) {
 		}
 	}
 }
+
+// TestMedianOutvotesOneLowRun: three fresh reports, one of them a low
+// outlier beyond the band; the median is in band, so the gate passes.
+func TestMedianOutvotesOneLowRun(t *testing.T) {
+	base := writeReport(t, "base.json", map[string]float64{"decode_pi64": 4.0})
+	a := writeReport(t, "a.json", map[string]float64{"decode_pi64": 4.1})
+	b := writeReport(t, "b.json", map[string]float64{"decode_pi64": 1.0}) // -75%
+	c := writeReport(t, "c.json", map[string]float64{"decode_pi64": 3.9})
+	out, err := exec(t, "-baseline", base, "-fresh", a+","+b+","+c)
+	if err != nil {
+		t.Fatalf("one low run in three failed the gate: %v\n%s", err, out)
+	}
+	if !strings.Contains(out, "ok   decode_pi64") || !strings.Contains(out, "median of 3 fresh") {
+		t.Errorf("missing median verdict:\n%s", out)
+	}
+}
+
+// TestMedianFailsOnTwoLowRuns: two of three reports low put the median
+// below the band.
+func TestMedianFailsOnTwoLowRuns(t *testing.T) {
+	base := writeReport(t, "base.json", map[string]float64{"decode_pi64": 4.0})
+	a := writeReport(t, "a.json", map[string]float64{"decode_pi64": 2.0})
+	b := writeReport(t, "b.json", map[string]float64{"decode_pi64": 1.0})
+	c := writeReport(t, "c.json", map[string]float64{"decode_pi64": 4.0})
+	out, err := exec(t, "-baseline", base, "-fresh", a+","+b+","+c)
+	if err == nil {
+		t.Fatalf("two low runs in three passed:\n%s", out)
+	}
+	if !strings.Contains(out, "FAIL decode_pi64") {
+		t.Errorf("missing FAIL line:\n%s", out)
+	}
+}
+
+// TestMissingKeyInOneReportFails: a baseline key absent from any one of
+// the fresh reports fails, even when the others carry it in band.
+func TestMissingKeyInOneReportFails(t *testing.T) {
+	base := writeReport(t, "base.json", map[string]float64{"decode_pi64": 4.0, "prefill_pi64": 8.0})
+	a := writeReport(t, "a.json", map[string]float64{"decode_pi64": 4.0, "prefill_pi64": 8.0})
+	b := writeReport(t, "b.json", map[string]float64{"decode_pi64": 4.0})
+	c := writeReport(t, "c.json", map[string]float64{"decode_pi64": 4.0, "prefill_pi64": 8.0})
+	out, err := exec(t, "-baseline", base, "-fresh", a+","+b+","+c)
+	if err == nil {
+		t.Fatalf("key missing from one report passed:\n%s", out)
+	}
+	if !strings.Contains(out, "FAIL prefill_pi64") || !strings.Contains(out, "missing from a fresh report") {
+		t.Errorf("missing FAIL line:\n%s", out)
+	}
+}

@@ -160,8 +160,7 @@ func main() {
 	// cache row is scored against every resident query row. The speedup
 	// is one k-row call over k singles. Π is 64, so a 128-wide row spans
 	// two partitions: rows of one partition take the single-row path at
-	// any row count. The SpecVerify names and the spec_decode key stay as
-	// they are so committed BENCH_kernels.json baselines still match.
+	// any row count.
 	{
 		const k = 8
 		pi := 64
@@ -177,13 +176,13 @@ func main() {
 			}
 		}
 		dst := &tensor.Matrix{}
-		batch := add(measure(fmt.Sprintf("SpecVerify/batch_%dx128x%d/pi%d", k, decodeL, pi), func(b *testing.B) {
+		batch := add(measure(fmt.Sprintf("MultiRowQK/batch_%dx128x%d/pi%d", k, decodeL, pi), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				hack.MatMulTransBInto(dst, qs, kT, opt)
 			}
 		}))
-		single := add(measure(fmt.Sprintf("SpecVerify/%dx_single_1x128x%d/pi%d", k, decodeL, pi), func(b *testing.B) {
+		single := add(measure(fmt.Sprintf("MultiRowQK/%dx_single_1x128x%d/pi%d", k, decodeL, pi), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				for _, q := range rows {
@@ -191,7 +190,7 @@ func main() {
 				}
 			}
 		}))
-		rep.Speedups["spec_decode"] = single.NsPerOp / batch.NsPerOp
+		rep.Speedups["multirow_qk_pi64"] = single.NsPerOp / batch.NsPerOp
 	}
 
 	for _, pi := range []int{32, 128} {
@@ -304,7 +303,7 @@ func main() {
 	fmt.Printf("\nspeedups vs scalar: decode pi128 %.2fx, pi32 %.2fx; prefill pi128 %.2fx, pi32 %.2fx; multi-row tile %.2fx\n",
 		rep.Speedups["decode_pi128"], rep.Speedups["decode_pi32"],
 		rep.Speedups["prefill_pi128"], rep.Speedups["prefill_pi32"],
-		rep.Speedups["spec_decode"])
+		rep.Speedups["multirow_qk_pi64"])
 	fmt.Printf("wrote %s\n", *out)
 }
 

@@ -270,8 +270,8 @@ func (h *fp16Head) WireSize() int             { return h.c.WireSize() }
 
 // DequantConfig parameterizes a dequantize-before-compute backend. The
 // two published systems are modeled as per-token 2-bit asymmetric
-// quantizers with different effective group sizes (see package compress
-// for the wire encodings); both pay a full KV dequantization on every
+// quantizers with different effective group sizes, their wire encodings
+// priced by WireFactor; both pay a full KV dequantization on every
 // attention call.
 type DequantConfig struct {
 	// MethodName labels the backend ("CacheGen", "KVQuant", ...).
@@ -401,14 +401,6 @@ type HACKConfig struct {
 	Seed     int64
 	// NameOverride replaces the derived method name when non-empty.
 	NameOverride string
-	// EvictBudgetTokens enables heavy-hitter KV eviction (the §9
-	// future-work combination): when the cache exceeds this many
-	// tokens, the coldest complete Π-token block is dropped. 0 disables
-	// eviction.
-	EvictBudgetTokens int
-	// EvictProtectBlocks shields the most recent N quantized V blocks
-	// from eviction (the recency window).
-	EvictProtectBlocks int
 	// Parallelism bounds the worker goroutines the homomorphic kernels
 	// may fan out per multiplication (hack.Options.Parallelism): 0 sizes
 	// like the sweep pool, 1 forces serial. Outputs are bit-identical at
@@ -422,9 +414,6 @@ type HACKConfig struct {
 func (c HACKConfig) transferable() error {
 	if !c.RequantizationElimination {
 		return fmt.Errorf("attention: cache transfer requires RQE (the quantized-tail ablation does not ship)")
-	}
-	if c.EvictBudgetTokens > 0 {
-		return fmt.Errorf("attention: cache transfer with eviction enabled would lose the score state")
 	}
 	return nil
 }
@@ -514,10 +503,6 @@ type hackHead struct {
 	cfg  HACKConfig
 	c    *kvcache.Cache
 	keys quant.Keys
-	// scores accumulates each cached token's received attention mass
-	// for the eviction policy; Evictions counts dropped blocks.
-	scores    []float64
-	Evictions int
 
 	// Per-call scratch, reused across calls so a decode step allocates
 	// nothing at steady state (see Head): the quantized Q and P tensors,
@@ -547,7 +532,7 @@ func (h *hackHead) opts() hack.Options {
 // everything through the same kernels.
 func (h *hackHead) attend(q *tensor.Matrix, maskOffset int, st *Stats) (*tensor.Matrix, error) {
 	dh := q.Cols
-	row0 := h.c.NextPos() - q.Rows
+	row0 := h.c.Len() - q.Rows
 	qq, err := quant.QuantizeInto(h.qq, q, quant.AlongCols, h.qCfg(h.keys.Q, row0))
 	if err != nil {
 		return nil, err
@@ -561,7 +546,6 @@ func (h *hackHead) attend(q *tensor.Matrix, maskOffset int, st *Stats) (*tensor.
 	tensor.CausalSoftmax(s, maskOffset, scoreScale(dh))
 	live := liveCells(s.Rows, maskOffset, s.Cols, 1)
 	st.FloatOps += live + softmaxOps(live) // scale + softmax
-	h.accumulateScores(s)
 
 	// ② homomorphic P·V: quantized part against VFull, FP16 (or
 	// requantized) tail separately.
@@ -628,9 +612,6 @@ func (h *hackHead) Decode(q, k, v *tensor.Matrix) (*tensor.Matrix, Stats, error)
 	out, err := h.attend(q, -1, &st)
 	st.RequantOps += h.c.RequantOps - before
 	st.KVBytesRead = int64(h.c.Usage().Total())
-	if err == nil {
-		err = h.maybeEvict()
-	}
 	return out, st, err
 }
 

@@ -25,8 +25,7 @@ type PrefixBackend interface {
 	Backend
 	// PrefixLayout reports the page-relevant quantization geometry
 	// (partition size Π, KV code width), or an error when the backend's
-	// heads cannot hand their cache over (the HACK/RQE ablation, KV
-	// eviction).
+	// heads cannot hand their cache over (the HACK/RQE ablation).
 	PrefixLayout() (pi, kvBits int, err error)
 	// RestorePrefixHead rebuilds a head over cached pages: quantized K
 	// and V covering the same Π-aligned token count, with no FP16

@@ -149,15 +149,14 @@ func TestPrefixSeedIsolation(t *testing.T) {
 }
 
 // TestPrefixGates pins the boundaries of the one page format: heads
-// whose cache cannot move (the quantized-tail ablation, eviction) offer
+// whose cache cannot move (the quantized-tail ablation) offer
 // no prefix layout and refuse export and restore; every other head
 // exports pages and wire caches alike — including a head that was
 // itself restored from pages and resumed — and a restored head refuses
 // a cache shipped with an RNG draw count.
 func TestPrefixGates(t *testing.T) {
 	for name, mut := range map[string]func(*HACKConfig){
-		"no RQE":   func(c *HACKConfig) { c.RequantizationElimination = false },
-		"eviction": func(c *HACKConfig) { c.EvictBudgetTokens = 64 },
+		"no RQE": func(c *HACKConfig) { c.RequantizationElimination = false },
 	} {
 		cfg := prefixCfg(1)
 		mut(&cfg)

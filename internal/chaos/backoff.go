@@ -49,9 +49,6 @@ func NewBackoff(initial, max time.Duration, jitter float64, budget time.Duration
 		rng: splitmix64(uint64(seed)), next: initial, now: time.Now}
 }
 
-// Attempts returns how many delays Next has granted.
-func (b *Backoff) Attempts() int { return b.n }
-
 // Remaining returns the budget left (0 when exhausted).
 func (b *Backoff) Remaining() time.Duration {
 	if b.started.IsZero() {

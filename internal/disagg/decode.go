@@ -121,10 +121,6 @@ func (d *DecodeNode) HTTPAddr() string {
 	return d.http.Addr()
 }
 
-// Runtime exposes the wrapped serving runtime (for local submissions
-// and metrics).
-func (d *DecodeNode) Runtime() *serve.Server { return d.rt }
-
 // Drain starts a graceful shutdown in the background: /healthz flips to
 // 503 immediately (the runtime is draining), in-flight requests finish,
 // and new wire submissions are refused with Kind "draining".

@@ -153,8 +153,9 @@ type Report struct {
 	// LinkKVBytes counts framed KV bytes per link, keyed
 	// "prefill→router <addr>" and "router→decode <addr>".
 	LinkKVBytes map[string]int64 `json:"link_kv_bytes"`
-	// TransferSeconds summarizes KV transfer latencies (prefill pull +
-	// decode push legs as separate samples).
+	// TransferSeconds samples each KV leg separately: the prefill pull
+	// leg includes the prefill compute, and the decode push leg ends when
+	// the router's write returns, not when the decode node has the bytes.
 	TransferSeconds metrics.PercentileSummary `json:"transfer_seconds"`
 	Replicas        []ReplicaStatus           `json:"replicas"`
 	// Chaos is the fault injector's activity when one is attached.

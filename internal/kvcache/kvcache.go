@@ -126,9 +126,6 @@ type Cache struct {
 	// RequantOps tallies the floating-point work spent requantizing,
 	// charged to the ablation's decode time.
 	RequantOps int64
-	// evicted counts the tokens EvictBlock has dropped; rows after them
-	// keep the positions they were quantized at.
-	evicted int
 
 	// Per-append scratch, reused across tokens so the decode-time cache
 	// ingest allocates only when a buffer grows past its high-water
@@ -205,16 +202,9 @@ func MustNew(cfg Config) *Cache {
 	return c
 }
 
-// Len returns the number of cached tokens.
-func (c *Cache) Len() int {
-	n := c.K.Rows
-	return n
-}
-
-// NextPos returns the absolute position the next appended token takes:
-// every token appended so far, evicted ones included, minus truncated
-// ones. It equals Len unless blocks were evicted.
-func (c *Cache) NextPos() int { return c.evicted + c.K.Rows }
+// Len returns the number of cached tokens, which is also the absolute
+// position the next appended token takes.
+func (c *Cache) Len() int { return c.K.Rows }
 
 // TailLen returns the number of V rows currently outside the quantized
 // cache (in the FP16 buffer under RQE, or in the partial quantized block
@@ -229,9 +219,6 @@ func (c *Cache) TailLen() int {
 	return c.VTailQ.Rows
 }
 
-// Config returns the cache configuration.
-func (c *Cache) Config() Config { return c.cfg }
-
 // AppendPrefill ingests the prompt's K and V (L×d_h each) in bulk, as the
 // prefill instance produces them. Complete V partitions are quantized
 // immediately; the remainder enters the tail.
@@ -240,7 +227,7 @@ func (c *Cache) AppendPrefill(k, v *tensor.Matrix) error {
 		return fmt.Errorf("kvcache: prefill shapes K %dx%d V %dx%d, head dim %d",
 			k.Rows, k.Cols, v.Rows, v.Cols, c.cfg.HeadDim)
 	}
-	kq, err := quant.Quantize(k, quant.AlongCols, c.cfg.quantCfg(c.cfg.Keys.K, c.NextPos()))
+	kq, err := quant.Quantize(k, quant.AlongCols, c.cfg.quantCfg(c.cfg.Keys.K, c.Len()))
 	if err != nil {
 		return err
 	}
@@ -262,7 +249,7 @@ func (c *Cache) AppendToken(kRow, vRow []float32) error {
 		return fmt.Errorf("kvcache: token rows %d/%d, head dim %d", len(kRow), len(vRow), c.cfg.HeadDim)
 	}
 	km := c.rowMatrix(kRow)
-	kq, err := quant.QuantizeInto(c.kRowQ, km, quant.AlongCols, c.cfg.quantCfg(c.cfg.Keys.K, c.NextPos()))
+	kq, err := quant.QuantizeInto(c.kRowQ, km, quant.AlongCols, c.cfg.quantCfg(c.cfg.Keys.K, c.Len()))
 	if err != nil {
 		return err
 	}
@@ -334,7 +321,7 @@ func (c *Cache) appendVRow(vRow []float32) error {
 // vBlockCfg is the quantizer configuration of the open V partition,
 // whose first row sits at the absolute position just past VFull.
 func (c *Cache) vBlockCfg() quant.Config {
-	return c.cfg.quantCfg(c.cfg.Keys.V, c.evicted+c.VFull.Rows)
+	return c.cfg.quantCfg(c.cfg.Keys.V, c.VFull.Rows)
 }
 
 // TailMatrix returns the trailing V rows as a dense matrix for the FP16
@@ -470,7 +457,7 @@ type TokenQuantCache struct {
 	cfg  Config
 	K, V *quant.Tensor
 	// DequantOpsTotal tallies the dequantization work performed via
-	// DequantizeKV, the overhead HACK eliminates.
+	// DequantizeKVInto, the overhead HACK eliminates.
 	DequantOpsTotal int64
 	// kq/vq stage each append's quantization, reused across tokens.
 	kq, vq *quant.Tensor
@@ -509,14 +496,9 @@ func (c *TokenQuantCache) Append(k, v *tensor.Matrix) error {
 	return c.V.AppendRows(vq)
 }
 
-// DequantizeKV materializes the full K and V in FP16 precision — the
-// per-iteration step whose cost motivates HACK.
-func (c *TokenQuantCache) DequantizeKV() (k, v *tensor.Matrix) {
-	return c.DequantizeKVInto(&tensor.Matrix{}, &tensor.Matrix{})
-}
-
-// DequantizeKVInto is DequantizeKV into caller-owned destinations, the
-// allocation-free path the dequant backends take every decode step.
+// DequantizeKVInto materializes the full K and V in FP16 precision into
+// caller-owned destinations — the per-iteration step whose cost
+// motivates HACK, taken by the dequant backends every decode step.
 func (c *TokenQuantCache) DequantizeKVInto(dk, dv *tensor.Matrix) (k, v *tensor.Matrix) {
 	k = c.K.DequantizeInto(dk)
 	v = c.V.DequantizeInto(dv)
@@ -535,33 +517,3 @@ func (c *TokenQuantCache) Usage() Usage {
 
 // WireSize returns the transfer size of the quantized cache.
 func (c *TokenQuantCache) WireSize() int { return c.Usage().Total() }
-
-// EvictBlock removes quantized partition block b — Π whole tokens — from
-// the cache: the V block and the matching K rows. Block granularity is
-// what keeps eviction compatible with HACK's layouts (the §9 future-work
-// combination): K rows are per-token partitions, and V can only drop
-// aligned Π-row groups without requantizing its neighbours. The FP16
-// tail is never evicted (it holds the most recent tokens).
-func (c *Cache) EvictBlock(b int) error {
-	if c.VFull == nil || b < 0 || b >= c.VFull.NBlocks {
-		return fmt.Errorf("kvcache: evict block %d of %d", b, c.vFullBlocks())
-	}
-	lo := b * c.cfg.Pi
-	hi := lo + c.cfg.Pi
-	if err := c.VFull.RemoveRowBlock(b); err != nil {
-		return err
-	}
-	if err := c.K.RemoveRows(lo, hi); err != nil {
-		return err
-	}
-	c.evicted += c.cfg.Pi
-	return nil
-}
-
-// vFullBlocks returns the number of complete quantized V blocks.
-func (c *Cache) vFullBlocks() int {
-	if c.VFull == nil {
-		return 0
-	}
-	return c.VFull.NBlocks
-}

@@ -254,7 +254,7 @@ func TestTokenQuantCache(t *testing.T) {
 	if c.Len() != 12 {
 		t.Errorf("Len = %d", c.Len())
 	}
-	dk, dv := c.DequantizeKV()
+	dk, dv := c.DequantizeKVInto(&tensor.Matrix{}, &tensor.Matrix{})
 	if dk.Rows != 12 || dv.Rows != 12 {
 		t.Fatalf("dequant shapes %d/%d", dk.Rows, dv.Rows)
 	}

@@ -190,9 +190,6 @@ func splitmix64(z uint64) uint64 {
 	return z ^ (z >> 31)
 }
 
-// Levels returns the number of representable code values, 2^bits.
-func (c Config) Levels() int { return 1 << c.Bits }
-
 // Tensor is a quantized matrix: INT8 codes plus per-partition metadata.
 type Tensor struct {
 	Rows, Cols int

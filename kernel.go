@@ -3,7 +3,6 @@ package hack
 import (
 	"math/rand"
 
-	"github.com/hackkv/hack/internal/compress"
 	hackcore "github.com/hackkv/hack/internal/hack"
 	"github.com/hackkv/hack/internal/quant"
 	"github.com/hackkv/hack/internal/tensor"
@@ -125,13 +124,6 @@ func DecodeApproxOpsSE(headDim, l int) int64 { return hackcore.DecodeApproxOpsSE
 // DecodeApproxOps returns the per-head approximation cost without
 // summation elimination (the §7.4 ablation).
 func DecodeApproxOps(headDim, l int) int64 { return hackcore.DecodeApproxOps(headDim, l) }
-
-// EntropyRatio reports the CacheGen-style entropy-coded size of a
-// quantized tensor's codes relative to raw bit-packing, verifying the
-// codec round-trips losslessly.
-func EntropyRatio(t *Quantized) (float64, error) {
-	return compress.MeasureRatio(compress.EntropyCodec{}, t)
-}
 
 // Matrix constructors and comparison helpers for working with the
 // kernel.
