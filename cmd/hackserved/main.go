@@ -29,13 +29,14 @@
 // envelope (429 queue-full, 503 draining, 400 validation).
 //
 // The default role serves prefill and decode in one process. Adding
-// -prefix-cache-bytes N there enables the shared-prefix KV cache:
-// quantized KV pages from completed prefills are kept under an N-byte
-// budget, and a request sharing a cached prompt prefix skips prefill
-// over the matched span (hit/miss/bytes-saved counters appear under
-// "prefix_cache" in /metrics). With -role the daemon becomes one node
-// of a true disaggregated deployment connected over the KV wire
-// protocol:
+// -prefix-cache-bytes N enables the shared-prefix KV cache: quantized
+// KV pages from completed prefills are kept under an N-byte budget, and
+// a request sharing a cached prompt prefix skips prefill over the
+// matched span (hit/miss/bytes-saved counters appear under
+// "prefix_cache" in /metrics). The tier runs where prefill runs: the
+// local and prefill roles accept it, the decode and router roles refuse
+// it. With -role the daemon becomes one node of a true disaggregated
+// deployment connected over the KV wire protocol:
 //
 //	hackserved -role prefill -wire 127.0.0.1:9101 -addr 127.0.0.1:8081
 //	hackserved -role decode  -wire 127.0.0.1:9201 -addr 127.0.0.1:8082
@@ -43,11 +44,15 @@
 //	hackserved -role router  -peer-prefills 127.0.0.1:9101 \
 //	    -peer-decodes 127.0.0.1:9201,127.0.0.1:9202 -addr 127.0.0.1:8080
 //
-// Prefill and decode nodes speak the wire protocol on -wire and serve
-// /healthz + /metrics on -addr; the router serves the same HTTP API as
-// the local role on -addr (NDJSON /v1/generate proxied over the wire,
-// /metrics reporting the deployment view) and places each request on
-// the least-loaded healthy decode replica. The router retries transient
+// Prefill and decode nodes are one node type around the serving
+// runtime, so -prefill-workers and -queue size a prefill node's
+// prefills as they size the local role's. They speak the wire protocol
+// on -wire and serve /healthz + /metrics on -addr; the router serves
+// the same HTTP API as the local role on -addr (NDJSON /v1/generate
+// proxied over the wire, /metrics reporting the deployment view) and
+// places each request on the least-loaded healthy decode replica,
+// passing a prefill job on to the next prefill node when one is full or
+// draining. The router retries transient
 // wire faults (connection loss, corrupt frames, missed frame deadlines)
 // under a jittered-backoff retry budget and trips a per-replica circuit
 // breaker on repeated failures; breaker state and trip counters appear
@@ -131,13 +136,13 @@ func run(args []string, stdout, stderr io.Writer) error {
 		method    = fs.String("method", "HACK", "serving method (kernel family)")
 		scheduler = fs.String("scheduler", "shortest-queue",
 			"admission routing policy: "+strings.Join(hack.Schedulers(), ", "))
-		workers   = fs.Int("prefill-workers", 2, "concurrent prefill workers (1 = deterministic single-worker mode)")
+		workers   = fs.Int("prefill-workers", 2, "concurrent prefill workers, local and prefill roles (1 = deterministic single-worker mode)")
 		batch     = fs.Int("batch", 8, "max continuous decode batch")
-		queueCap  = fs.Int("queue", 64, "admission queue bound per prefill worker (full queues load-shed)")
+		queueCap  = fs.Int("queue", 64, "admission queue bound per prefill worker, local and prefill roles (full queues load-shed)")
 		maxNew    = fs.Int("max-new", 32, "per-request generated-token cap")
 		decodePar = fs.Int("decode-par", 0, "decode-step goroutine fan-out (0 = size to batch, 1 = serial)")
 		seed      = fs.Int64("seed", 1, "model weight seed")
-		prefixB   = fs.Int64("prefix-cache-bytes", 0, "shared-prefix KV cache budget in bytes (0 disables; local role only, since the prefill node has no prefix tier)")
+		prefixB   = fs.Int64("prefix-cache-bytes", 0, "shared-prefix KV cache budget in bytes (0 disables; local and prefill roles)")
 		drainFor  = fs.Duration("drain-timeout", 30*time.Second, "graceful-drain budget after SIGTERM")
 		role      = fs.String("role", "local", "serving role: "+strings.Join(hack.Roles(), ", "))
 		wire      = fs.String("wire", "127.0.0.1:0", "KV wire listen address (prefill/decode roles)")
@@ -173,8 +178,8 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if err != nil {
 		return usageError{err: err}
 	}
-	if *prefixB > 0 && r != hack.RoleLocal {
-		return usageError{err: fmt.Errorf("-prefix-cache-bytes requires the local role (the prefill node has no prefix tier)")}
+	if *prefixB > 0 && r != hack.RoleLocal && r != hack.RolePrefill {
+		return usageError{err: fmt.Errorf("-prefix-cache-bytes requires the local or prefill role (the tier runs where prefill runs)")}
 	}
 	if *chaosSc != "" {
 		if r != hack.RoleRouter {
@@ -200,8 +205,10 @@ func run(args []string, stdout, stderr io.Writer) error {
 			QueueCap:          *queueCap,
 			MaxNewTokens:      *maxNew,
 			DecodeParallelism: *decodePar,
-			PrefixCacheBytes:  *prefixB,
 		}),
+	}
+	if *prefixB > 0 {
+		opts = append(opts, hack.WithPrefixCache(*prefixB))
 	}
 	if r != hack.RoleLocal {
 		opts = append(opts,

@@ -7,24 +7,44 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"strings"
+	"syscall"
 	"testing"
 	"time"
 
 	"github.com/hackkv/hack"
 )
 
-// TestPrefixCacheFlagValidation pins the CLI guard rails: the tier is
-// local-role only, and the budget must be non-negative.
+// TestPrefixCacheFlagValidation pins the CLI guard rails: the tier runs
+// where prefill runs, so the decode and router roles refuse it, the
+// prefill role boots with it, and the budget must be non-negative.
 func TestPrefixCacheFlagValidation(t *testing.T) {
-	_, _, err := exec(t, "-role", "prefill", "-prefix-cache-bytes", "1024")
 	var ue usageError
-	if !errors.As(err, &ue) || !strings.Contains(err.Error(), "prefix") {
-		t.Fatalf("prefill role with prefix cache: %v", err)
+	for _, role := range []string{"decode", "router"} {
+		_, _, err := exec(t, "-role", role, "-prefix-cache-bytes", "1048576")
+		if !errors.As(err, &ue) || !strings.Contains(err.Error(), "prefix") {
+			t.Fatalf("%s role with prefix cache: %v", role, err)
+		}
 	}
-	_, _, err = exec(t, "-prefix-cache-bytes", "-1")
+	_, _, err := exec(t, "-prefix-cache-bytes", "-1")
 	if !errors.As(err, &ue) {
 		t.Fatalf("negative budget: %v", err)
+	}
+
+	// A budget of many pages on the prefill role: it boots, then drains.
+	_, _, out, done := bootRole(t, "-role", "prefill", "-addr", "127.0.0.1:0", "-wire", "127.0.0.1:0",
+		"-prefix-cache-bytes", "1048576")
+	if err := syscall.Kill(os.Getpid(), syscall.SIGTERM); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("prefill role with prefix cache: %v\n%s", err, out.String())
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("prefill role did not drain after SIGTERM")
 	}
 }
 
@@ -32,9 +52,8 @@ func TestPrefixCacheFlagValidation(t *testing.T) {
 // the shared-prefix tier enabled: the same prompt generated twice
 // streams identical tokens, and /metrics exposes the hit.
 func TestPrefixCacheThroughDaemon(t *testing.T) {
-	eng, err := hack.New(hack.WithServeConfig(hack.ServeConfig{
-		PrefillWorkers: 1, DecodeParallelism: 1, MaxBatch: 4,
-		MaxNewTokens: 4, PrefixCacheBytes: 1 << 20,
+	eng, err := hack.New(hack.WithPrefixCache(1<<20), hack.WithServeConfig(hack.ServeConfig{
+		PrefillWorkers: 1, DecodeParallelism: 1, MaxBatch: 4, MaxNewTokens: 4,
 	}))
 	if err != nil {
 		t.Fatal(err)

@@ -10,7 +10,6 @@ import (
 	"github.com/hackkv/hack/internal/disagg"
 	"github.com/hackkv/hack/internal/model"
 	"github.com/hackkv/hack/internal/netsim"
-	"github.com/hackkv/hack/internal/serve"
 )
 
 // Role names a process's job in a disaggregated deployment. A local
@@ -23,10 +22,13 @@ type Role string
 const (
 	// RoleLocal is the single-process runtime (Engine.Listen).
 	RoleLocal Role = "local"
-	// RolePrefill runs kernel prefills and ships quantized KV caches.
+	// RolePrefill runs prefills on its serving runtime's prefill
+	// workers (and prefix tier) and ships quantized KV caches.
 	RolePrefill Role = "prefill"
 	// RoleDecode adopts shipped KV caches into the continuous-batching
-	// decode loop.
+	// decode loop. Prefill and decode nodes are one node type; the role
+	// labels the node's handshake and decides where the prefix tier may
+	// run.
 	RoleDecode Role = "decode"
 	// RoleRouter fronts the deployment: it drives prefill, places each
 	// decode on the least-loaded healthy replica, and proxies tokens.
@@ -85,8 +87,9 @@ type DisaggConfig struct {
 	HTTPAddr string
 	// NodeID names the node in handshakes (default: the wire address).
 	NodeID string
-	// MaxConcurrentPrefills bounds simultaneous prefill executions on a
-	// prefill node (default 2).
+	// Deprecated: MaxConcurrentPrefills is ignored. A prefill node runs
+	// its prefills on its serving runtime's prefill workers, sized by
+	// ServeConfig.PrefillWorkers.
 	MaxConcurrentPrefills int
 	// HealthInterval is the router's /healthz polling period (default
 	// 500ms); DialTimeout bounds each dial+handshake (default 2s).
@@ -128,9 +131,6 @@ func ChaosScripts() []string { return chaos.Scripts() }
 // WithDisaggConfig sizes the node started by ListenDisagg.
 func WithDisaggConfig(dc DisaggConfig) Option {
 	return func(e *Engine) error {
-		if dc.MaxConcurrentPrefills < 0 {
-			return fmt.Errorf("disagg config fields must be >= 0 (%+v)", dc)
-		}
 		if dc.ChaosScript != "" {
 			if _, err := chaos.ScriptNamed(dc.ChaosScript); err != nil {
 				return err
@@ -174,33 +174,33 @@ var (
 // DisaggServer is one running node of a disaggregated deployment,
 // started by Engine.ListenDisagg. Its useful surface depends on the
 // role: every role has WireAddr/HTTPAddr/Close; routers additionally
-// submit requests and report deployment state; decode nodes drain.
+// submit requests and report deployment state; prefill and decode
+// nodes drain.
 type DisaggServer struct {
-	role    Role
-	spec    ModelSpec
-	prefill *disagg.PrefillNode
-	decode  *disagg.DecodeNode
-	router  *disagg.Router
+	role   Role
+	spec   ModelSpec
+	node   *disagg.Node // prefill and decode roles
+	router *disagg.Router
 	// chaosStop cancels a ChaosScript replay in flight (router role).
 	chaosStop context.CancelFunc
 }
 
 // ListenDisagg starts the engine's disaggregated role (see WithRole):
 // a prefill node, a decode replica, or a router over the peers named by
-// WithPeers. The deployment's method, model spec, and model seed are
-// carried in the wire handshake, so mismatched nodes refuse to pair.
-// Cancelling ctx closes the node in the background.
+// WithPeers. Prefill and decode nodes each run a serving runtime sized
+// by WithServeConfig; the prefill role may host the prefix tier
+// (WithPrefixCache), which the decode and router roles refuse. The
+// deployment's method, model spec, and model seed are carried in the
+// wire handshake, so mismatched nodes refuse to pair. Cancelling ctx
+// closes the node in the background.
 func (e *Engine) ListenDisagg(ctx context.Context) (*DisaggServer, error) {
 	dc := e.disaggCfg
 	if dc.WireAddr == "" {
 		dc.WireAddr = "127.0.0.1:0"
 	}
 	sc := e.serveCfg
-	if sc.PrefixCacheBytes > 0 || e.prefixBytes > 0 {
-		// Prefix pages and shipped caches share one format, but the
-		// prefill node runs its prefills outside the serving runtime
-		// that hosts the tier, so there is nothing to look pages up in.
-		return nil, fmt.Errorf("hack: the shared-prefix cache is not supported in disaggregated roles (the prefill node has no prefix tier)")
+	if e.prefixBytes > 0 && (e.role == RoleDecode || e.role == RoleRouter) {
+		return nil, fmt.Errorf("hack: the shared-prefix cache runs where prefill runs: the local and prefill roles, not %s", e.role)
 	}
 	ds := &DisaggServer{role: e.role, spec: sc.Model}
 	if ds.spec.Layers == 0 && ds.spec.Hidden == 0 {
@@ -211,29 +211,11 @@ func (e *Engine) ListenDisagg(ctx context.Context) (*DisaggServer, error) {
 	}
 	var err error
 	switch e.role {
-	case RolePrefill:
-		ds.prefill, err = disagg.NewPrefillNode(disagg.PrefillConfig{
+	case RolePrefill, RoleDecode:
+		ds.node, err = disagg.NewNode(disagg.NodeConfig{
 			Addr: dc.WireAddr, HTTPAddr: dc.HTTPAddr, NodeID: dc.NodeID,
-			Spec: sc.Model, ModelSeed: sc.ModelSeed,
-			Backend:       serve.BackendForMethod(e.method, e.kernelPar),
-			MethodName:    e.method.Name,
-			MaxConcurrent: dc.MaxConcurrentPrefills,
-		})
-	case RoleDecode:
-		ds.decode, err = disagg.NewDecodeNode(disagg.DecodeConfig{
-			Addr: dc.WireAddr, HTTPAddr: dc.HTTPAddr, NodeID: dc.NodeID,
-			MethodName: e.method.Name,
-			Serve: serve.Config{
-				Spec:              sc.Model,
-				ModelSeed:         sc.ModelSeed,
-				Backend:           serve.BackendForMethod(e.method, e.kernelPar),
-				Scheduler:         e.scheduler,
-				PrefillWorkers:    sc.PrefillWorkers,
-				MaxBatch:          sc.MaxBatch,
-				QueueCap:          sc.QueueCap,
-				MaxNewTokens:      sc.MaxNewTokens,
-				DecodeParallelism: sc.DecodeParallelism,
-			},
+			Role: string(e.role), MethodName: e.method.Name,
+			Serve: e.runtimeConfig(),
 		})
 	case RoleRouter:
 		var inj *chaos.Injector
@@ -292,26 +274,18 @@ func (s *DisaggServer) Model() ModelSpec { return s.spec }
 // WireAddr returns the node's KV wire address ("" for routers, which
 // initiate connections rather than accept them).
 func (s *DisaggServer) WireAddr() string {
-	switch s.role {
-	case RolePrefill:
-		return s.prefill.Addr()
-	case RoleDecode:
-		return s.decode.Addr()
+	if s.node == nil {
+		return ""
 	}
-	return ""
+	return s.node.Addr()
 }
 
 // HTTPAddr returns the node's health/metrics address ("" if disabled).
 func (s *DisaggServer) HTTPAddr() string {
-	switch s.role {
-	case RolePrefill:
-		return s.prefill.HTTPAddr()
-	case RoleDecode:
-		return s.decode.HTTPAddr()
-	case RoleRouter:
-		return s.router.HTTPAddr()
+	if s.node != nil {
+		return s.node.HTTPAddr()
 	}
-	return ""
+	return s.router.HTTPAddr()
 }
 
 // Submit routes one generation request through the disaggregated
@@ -361,13 +335,14 @@ func (s *DisaggServer) RemoveReplica(addr string) error {
 	return nil
 }
 
-// Drain begins a graceful drain (decode role only): /healthz flips to
-// 503, routers stop placing work here, and in-flight requests finish.
+// Drain begins a graceful drain (prefill and decode roles): /healthz
+// flips to 503, new wire jobs are refused as draining (routers place
+// them elsewhere), and in-flight requests finish.
 func (s *DisaggServer) Drain() error {
-	if s.role != RoleDecode {
+	if s.node == nil {
 		return fmt.Errorf("hack: role %q does not drain", s.role)
 	}
-	s.decode.Drain()
+	s.node.Drain()
 	return nil
 }
 
@@ -405,19 +380,14 @@ func routerChaosApply(inj *chaos.Injector, prefills, decodes []string) func(chao
 	}
 }
 
-// Close stops the node. For decode replicas it drains the wrapped
-// runtime; for routers it waits for in-flight submissions.
+// Close stops the node. For prefill and decode nodes it drains the
+// wrapped runtime; for routers it waits for in-flight submissions.
 func (s *DisaggServer) Close() error {
 	if s.chaosStop != nil {
 		s.chaosStop()
 	}
-	switch s.role {
-	case RolePrefill:
-		return s.prefill.Close()
-	case RoleDecode:
-		return s.decode.Close()
-	case RoleRouter:
-		return s.router.Close()
+	if s.node != nil {
+		return s.node.Close()
 	}
-	return nil
+	return s.router.Close()
 }

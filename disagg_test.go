@@ -132,9 +132,6 @@ func TestDisaggFacadeRoleErrors(t *testing.T) {
 	if _, err := p.Submit(context.Background(), hack.RoutedRequest{Prompt: []int{1}}); err == nil {
 		t.Fatal("prefill node accepted Submit")
 	}
-	if err := p.Drain(); err == nil {
-		t.Fatal("prefill node accepted Drain")
-	}
 	if err := p.AddReplica("127.0.0.1:1"); err == nil {
 		t.Fatal("prefill node accepted AddReplica")
 	}
@@ -178,5 +175,13 @@ func TestDisaggFacadeRoleErrors(t *testing.T) {
 	defer mis.Close()
 	if err := mis.AddReplica(p.WireAddr()); !errors.Is(err, hack.ErrHandshakeRefused) {
 		t.Fatalf("AddReplica to mismatched peer: %v, want ErrHandshakeRefused", err)
+	}
+
+	// Prefill and decode nodes drain; routers do not.
+	if err := p.Drain(); err != nil {
+		t.Fatalf("prefill node refused Drain: %v", err)
+	}
+	if err := r.Drain(); err == nil {
+		t.Fatal("router accepted Drain")
 	}
 }

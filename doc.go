@@ -89,9 +89,9 @@
 // the repo root boot the full router+prefill+decode fleet with the
 // router's surface on :8080.
 //
-// WithPrefixCache (or ServeConfig.PrefixCacheBytes; -prefix-cache-bytes
-// on the daemon) enables the shared-prefix KV tier: quantized Π-aligned
-// KV pages from completed prefills are indexed by prompt prefix, and a
+// WithPrefixCache (-prefix-cache-bytes on the daemon) enables the
+// shared-prefix KV tier: quantized KV pages of Π tokens from completed
+// prefills are indexed by prompt prefix, and a
 // request sharing a cached prefix restores them and skips prefill over
 // the matched span — streaming tokens byte-identical to its own cold
 // run and to a deployment without the tier, whichever prompt length the
@@ -99,18 +99,25 @@
 // function of (seed, operand, absolute position). Eviction is
 // ref-counted LRU under the byte budget; the hit / miss /
 // tokens-reused / bytes-saved counters appear as Snapshot.PrefixCache.
-// Requires a homomorphic method with requantization elimination, and
-// composes with the local role only (the prefill node has no tier).
+// Requires a homomorphic method with requantization elimination. The
+// tier runs where prefill runs: the local role and RolePrefill host it;
+// RoleDecode and RoleRouter refuse it.
 //
 // # Disaggregated serving
 //
 // WithRole splits that runtime across real processes over a TCP KV
 // wire, reproducing the paper's disaggregated deployment shape:
-// RolePrefill nodes run kernel prefills and ship each head's quantized
-// KV pages as CRC-checked wire frames — the same page format the prefix
-// tier caches, with no quantizer state to replay; RoleDecode
-// replicas reconstruct the cache into the continuous-batching loop;
-// a RoleRouter fronts the deployment with load-aware placement
+// prefill and decode nodes are one node type around the same serving
+// runtime as Listen, and the role only labels the node's handshake.
+// RolePrefill nodes run prefills on the runtime's admission queues and
+// prefill workers (sized by WithServeConfig, with the prefix tier when
+// WithPrefixCache is set) and ship each head's quantized KV pages as
+// CRC-checked wire frames — the same page format the prefix tier
+// caches, with no quantizer state to replay; RoleDecode replicas
+// reconstruct the cache into the continuous-batching loop; a
+// RoleRouter fronts the deployment, moves a prefill job on to the next
+// prefill node when one is full or draining, and places decodes with
+// load-aware placement
 // (pending KV bytes + in-flight, the simulator's LoadAware signals),
 // /healthz health polling, drain awareness, and retry/failover that
 // replays a buffered KV transfer on a fresh replica without

@@ -12,7 +12,7 @@ type ActionKind string
 
 // The scripted fault vocabulary. Actions target decode replicas by
 // ordinal (Target); -1 targets every link. How an action lands depends
-// on the harness: an in-process suite can kill a DecodeNode outright,
+// on the harness: an in-process suite can kill a decode node outright,
 // while a router-side injector models the same failure as a partition
 // of that replica's link.
 const (

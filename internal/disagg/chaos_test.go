@@ -23,8 +23,8 @@ import (
 // backoff, budget-only retries.
 func newChaosCluster(t *testing.T, nDecode int, inj *chaos.Injector, tweak func(*RouterConfig)) (*cluster, func()) {
 	t.Helper()
-	p, err := NewPrefillNode(PrefillConfig{
-		Addr: "127.0.0.1:0", HTTPAddr: "127.0.0.1:0", ModelSeed: testModelSeed,
+	p, err := NewNode(NodeConfig{
+		Addr: "127.0.0.1:0", HTTPAddr: "127.0.0.1:0", Role: "prefill", Serve: testServeConfig(),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -49,7 +49,7 @@ func newChaosCluster(t *testing.T, nDecode int, inj *chaos.Injector, tweak func(
 		Chaos:           inj,
 	}
 	for i := 0; i < nDecode; i++ {
-		d, err := NewDecodeNode(DecodeConfig{
+		d, err := NewNode(NodeConfig{
 			Addr: "127.0.0.1:0", HTTPAddr: "127.0.0.1:0", Serve: testServeConfig(),
 		})
 		if err != nil {
@@ -74,7 +74,7 @@ func newChaosCluster(t *testing.T, nDecode int, inj *chaos.Injector, tweak func(
 }
 
 // applyChaosAction binds a script's action vocabulary to a live cluster:
-// kills land on the DecodeNode process, everything else lands on the
+// kills land on the decode Node, everything else lands on the
 // router's links through the injector.
 func applyChaosAction(c *cluster, inj *chaos.Injector) func(chaos.Action) {
 	linkAddrs := func(target int) []string {

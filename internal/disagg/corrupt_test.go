@@ -87,7 +87,7 @@ func pullFramesRaw(t *testing.T, addr string, job PrefillJob) [][]byte {
 // dropped without executing a job, and the node must keep serving clean
 // connections.
 func TestPrefillDropsCorruptAndTruncatedFrames(t *testing.T) {
-	p, err := NewPrefillNode(PrefillConfig{Addr: "127.0.0.1:0", ModelSeed: testModelSeed})
+	p, err := NewNode(NodeConfig{Addr: "127.0.0.1:0", Role: "prefill", Serve: testServeConfig()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,12 +142,12 @@ func mustJSON(t *testing.T, v any) []byte {
 // kind the router retries on), free the handler within the frame
 // deadline, and leave the node serving.
 func TestDecodeDropsCorruptAndTruncatedTransfers(t *testing.T) {
-	p, err := NewPrefillNode(PrefillConfig{Addr: "127.0.0.1:0", ModelSeed: testModelSeed})
+	p, err := NewNode(NodeConfig{Addr: "127.0.0.1:0", Role: "prefill", Serve: testServeConfig()})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer p.Close()
-	d, err := NewDecodeNode(DecodeConfig{
+	d, err := NewNode(NodeConfig{
 		Addr: "127.0.0.1:0", Serve: testServeConfig(), FrameTimeout: 250 * time.Millisecond,
 	})
 	if err != nil {
@@ -353,12 +353,12 @@ func TestRouterFailsOverOnCorruptTokenStream(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			stub, stopStub := corruptingStub(t, prefix, finale)
 			defer stopStub()
-			p, err := NewPrefillNode(PrefillConfig{Addr: "127.0.0.1:0", ModelSeed: testModelSeed})
+			p, err := NewNode(NodeConfig{Addr: "127.0.0.1:0", Role: "prefill", Serve: testServeConfig()})
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer p.Close()
-			d, err := NewDecodeNode(DecodeConfig{Addr: "127.0.0.1:0", Serve: testServeConfig()})
+			d, err := NewNode(NodeConfig{Addr: "127.0.0.1:0", Serve: testServeConfig()})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -427,12 +427,12 @@ func TestRouterRetriesPrefillOnCorruptTransfer(t *testing.T) {
 		}
 	}()
 
-	p, err := NewPrefillNode(PrefillConfig{Addr: "127.0.0.1:0", ModelSeed: testModelSeed})
+	p, err := NewNode(NodeConfig{Addr: "127.0.0.1:0", Role: "prefill", Serve: testServeConfig()})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer p.Close()
-	d, err := NewDecodeNode(DecodeConfig{Addr: "127.0.0.1:0", Serve: testServeConfig()})
+	d, err := NewNode(NodeConfig{Addr: "127.0.0.1:0", Serve: testServeConfig()})
 	if err != nil {
 		t.Fatal(err)
 	}

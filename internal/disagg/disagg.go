@@ -4,17 +4,20 @@
 // prefill→decode KV transfer and package serve batches both phases in
 // one process, disagg splits them:
 //
-//   - A PrefillNode runs the kernel prefill over the real numeric
-//     transformer and ships each head's quantized KV cache as netsim
-//     KVFrames — the same codec the simulator prices — over a
-//     length-prefixed, CRC-trailed message stream with a versioned
-//     handshake.
-//   - A DecodeNode reconstructs the cache (quant.FromWire) and feeds
-//     the request into serve's continuous-batching decode loop via
-//     SubmitPrefilled, so remote requests batch with local ones.
-//   - A Router fronts N decode replicas with FlowKV-style load-aware
-//     placement (the same drain/pending-KV signals sim's schedulers
-//     score), tracks replica health via /healthz heartbeats and
+//   - A Node wraps one serve.Server and answers both wire jobs. A
+//     prefill job runs through the runtime's admission queue, prefill
+//     workers and prefix tier, and the node ships each head's quantized
+//     KV cache as netsim KVFrames — the same codec the simulator prices
+//     — over a length-prefixed, CRC-trailed message stream with a
+//     versioned handshake. A decode job reconstructs the cache
+//     (quant.FromWire) and feeds the request into the continuous-
+//     batching decode loop via SubmitPrefilled. The node's role
+//     ("prefill" or "decode") only labels its handshake.
+//   - A Router drives prefill on the first prefill node that takes the
+//     job (moving on when one is unreachable, full or draining) and
+//     fronts N decode replicas with FlowKV-style load-aware placement
+//     (the same drain/pending-KV signals sim's schedulers score),
+//     tracks replica health via /healthz heartbeats and
 //     connection-level failures, removes draining replicas from
 //     placement, and retries an in-flight KV transfer on replica death
 //     with bounded backoff.

@@ -1,6 +1,7 @@
 package disagg
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -81,14 +82,14 @@ func collectRouted(st *Stream) ([]int, error) {
 // prefill node and n decode replicas, every tier on 127.0.0.1.
 type cluster struct {
 	router  *Router
-	prefill *PrefillNode
-	decodes []*DecodeNode
+	prefill *Node
+	decodes []*Node
 }
 
 func newCluster(t *testing.T, nDecode int, tweak func(*RouterConfig)) *cluster {
 	t.Helper()
-	p, err := NewPrefillNode(PrefillConfig{
-		Addr: "127.0.0.1:0", HTTPAddr: "127.0.0.1:0", ModelSeed: testModelSeed,
+	p, err := NewNode(NodeConfig{
+		Addr: "127.0.0.1:0", HTTPAddr: "127.0.0.1:0", Role: "prefill", Serve: testServeConfig(),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -104,7 +105,7 @@ func newCluster(t *testing.T, nDecode int, tweak func(*RouterConfig)) *cluster {
 		HealthInterval: time.Hour,
 	}
 	for i := 0; i < nDecode; i++ {
-		d, err := NewDecodeNode(DecodeConfig{
+		d, err := NewNode(NodeConfig{
 			Addr: "127.0.0.1:0", HTTPAddr: "127.0.0.1:0", Serve: testServeConfig(),
 		})
 		if err != nil {
@@ -315,12 +316,12 @@ func TestFailoverMidStream(t *testing.T) {
 	defer stopStub()
 
 	func() {
-		p, err := NewPrefillNode(PrefillConfig{Addr: "127.0.0.1:0", ModelSeed: testModelSeed})
+		p, err := NewNode(NodeConfig{Addr: "127.0.0.1:0", Role: "prefill", Serve: testServeConfig()})
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer p.Close()
-		d, err := NewDecodeNode(DecodeConfig{Addr: "127.0.0.1:0", Serve: testServeConfig()})
+		d, err := NewNode(NodeConfig{Addr: "127.0.0.1:0", Serve: testServeConfig()})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -432,12 +433,12 @@ func TestDrainAwareRemoval(t *testing.T) {
 // router configured for a different model seed is refused by both tiers
 // with a typed handshake error, not a silent divergent stream.
 func TestMismatchRefused(t *testing.T) {
-	p, err := NewPrefillNode(PrefillConfig{Addr: "127.0.0.1:0", ModelSeed: testModelSeed})
+	p, err := NewNode(NodeConfig{Addr: "127.0.0.1:0", Role: "prefill", Serve: testServeConfig()})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer p.Close()
-	d, err := NewDecodeNode(DecodeConfig{Addr: "127.0.0.1:0", Serve: testServeConfig()})
+	d, err := NewNode(NodeConfig{Addr: "127.0.0.1:0", Serve: testServeConfig()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -511,5 +512,50 @@ func TestNodeHTTPEndpoints(t *testing.T) {
 	_, body, _ = get("http://" + c.router.HTTPAddr() + "/metrics?format=text")
 	if !strings.Contains(body, "hackserved_router_requests_total") {
 		t.Fatalf("router Prometheus metrics: %q", body)
+	}
+}
+
+// TestPrefixWarmPrefillShipsColdFrames runs the prefix tier on a
+// prefill node: after a donor prompt inserts its pages, a prompt
+// sharing its first 128 tokens hits the tier, and the frames the node
+// ships are byte-identical to a tierless node's cold prefill of the
+// same (prompt, seed).
+func TestPrefixWarmPrefillShipsColdFrames(t *testing.T) {
+	cold, err := NewNode(NodeConfig{Addr: "127.0.0.1:0", Role: "prefill", Serve: testServeConfig()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cold.Close()
+	cfg := testServeConfig()
+	cfg.PrefixCacheBytes = 1 << 24
+	warm, err := NewNode(NodeConfig{Addr: "127.0.0.1:0", Role: "prefill", Serve: cfg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer warm.Close()
+
+	const shared = 128 // two Π=64 pages
+	vocab := model.Toy().Vocab
+	prompt, donor := make([]int, shared+21), make([]int, shared+40)
+	for i := range donor {
+		donor[i] = (5*i + 1) % vocab
+	}
+	copy(prompt, donor[:shared])
+	for i := shared; i < len(prompt); i++ {
+		prompt[i] = (7*i + 3) % vocab
+	}
+	pullFramesRaw(t, warm.Addr(), PrefillJob{RequestID: 1, Prompt: donor, Seed: 4})
+	job := PrefillJob{RequestID: 2, Prompt: prompt, Seed: 4}
+	got, want := pullFramesRaw(t, warm.Addr(), job), pullFramesRaw(t, cold.Addr(), job)
+	if len(got) != len(want) {
+		t.Fatalf("warm prefill shipped %d frames, cold %d", len(got), len(want))
+	}
+	for i := range want {
+		if !bytes.Equal(got[i], want[i]) {
+			t.Fatalf("frame %d differs between the warm and the cold prefill", i)
+		}
+	}
+	if pc := warm.Stats().PrefixCache; pc == nil || pc.Hits != 1 || pc.TokensReused != shared {
+		t.Fatalf("prefill node prefix stats %+v, want 1 hit reusing %d tokens", pc, shared)
 	}
 }

@@ -42,7 +42,7 @@ var headerFlips = []struct {
 // header bit-flips: each connection must be dropped without executing a
 // job, and the node must keep serving clean connections.
 func TestPrefillSurvivesHeaderBitFlips(t *testing.T) {
-	p, err := NewPrefillNode(PrefillConfig{Addr: "127.0.0.1:0", ModelSeed: testModelSeed})
+	p, err := NewNode(NodeConfig{Addr: "127.0.0.1:0", Role: "prefill", Serve: testServeConfig()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,12 +81,12 @@ func TestPrefillSurvivesHeaderBitFlips(t *testing.T) {
 // valid, so only the frame-head parse can catch it. Each must surface
 // as the retryable "transfer" done kind and leave the node serving.
 func TestDecodeReportsTransferOnFrameHeadFlips(t *testing.T) {
-	p, err := NewPrefillNode(PrefillConfig{Addr: "127.0.0.1:0", ModelSeed: testModelSeed})
+	p, err := NewNode(NodeConfig{Addr: "127.0.0.1:0", Role: "prefill", Serve: testServeConfig()})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer p.Close()
-	d, err := NewDecodeNode(DecodeConfig{
+	d, err := NewNode(NodeConfig{
 		Addr: "127.0.0.1:0", Serve: testServeConfig(), FrameTimeout: 250 * time.Millisecond,
 	})
 	if err != nil {
@@ -201,12 +201,12 @@ func TestRouterZeroFailuresUnderHeaderFlips(t *testing.T) {
 				}
 				stub, stopStub := corruptingStub(t, prefix, finale)
 				defer stopStub()
-				p, err := NewPrefillNode(PrefillConfig{Addr: "127.0.0.1:0", ModelSeed: testModelSeed})
+				p, err := NewNode(NodeConfig{Addr: "127.0.0.1:0", Role: "prefill", Serve: testServeConfig()})
 				if err != nil {
 					t.Fatal(err)
 				}
 				defer p.Close()
-				d, err := NewDecodeNode(DecodeConfig{Addr: "127.0.0.1:0", Serve: testServeConfig()})
+				d, err := NewNode(NodeConfig{Addr: "127.0.0.1:0", Serve: testServeConfig()})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -276,12 +276,12 @@ func TestRouterZeroFailuresUnderHeaderFlips(t *testing.T) {
 					}
 				}()
 
-				p, err := NewPrefillNode(PrefillConfig{Addr: "127.0.0.1:0", ModelSeed: testModelSeed})
+				p, err := NewNode(NodeConfig{Addr: "127.0.0.1:0", Role: "prefill", Serve: testServeConfig()})
 				if err != nil {
 					t.Fatal(err)
 				}
 				defer p.Close()
-				d, err := NewDecodeNode(DecodeConfig{Addr: "127.0.0.1:0", Serve: testServeConfig()})
+				d, err := NewNode(NodeConfig{Addr: "127.0.0.1:0", Serve: testServeConfig()})
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -645,8 +645,10 @@ func (r *Router) run(ctx context.Context, req Request, st *Stream) error {
 	return r.runDecode(ctx, id, req, frames, st)
 }
 
-// runPrefill drives the prefill leg on the first reachable prefill node
-// (round-robin start) and buffers every KV frame. The buffered frames
+// runPrefill drives the prefill leg on the first prefill node that
+// takes the job (round-robin start) and buffers every KV frame. A node
+// that is unreachable, answers queue_full or draining, or whose
+// transfer breaks, passes the job to the next one. The buffered frames
 // are the failover capital: a decode retry re-ships them without
 // touching the prefill tier again.
 func (r *Router) runPrefill(ctx context.Context, id uint64, req Request) ([][]byte, error) {
@@ -664,12 +666,16 @@ func (r *Router) runPrefill(ctx context.Context, id uint64, req Request) ([][]by
 			return frames, nil
 		}
 		lastErr = err
-		if !isRetryable(err) {
+		if !isRetryable(err) && !errors.Is(err, errPrefillBusy) {
 			return nil, err // protocol-level refusal: retrying elsewhere won't help
 		}
 	}
 	return nil, fmt.Errorf("%w: %v", ErrNoPrefill, lastErr)
 }
+
+// errPrefillBusy marks a prefill node's refusal that another prefill
+// node may not share: a full queue, a drain, or a broken transfer.
+var errPrefillBusy = errors.New("disagg: prefill node cannot take the job")
 
 func (r *Router) pullPrefill(ctx context.Context, addr string, id uint64, req Request) ([][]byte, error) {
 	conn, _, err := r.dial(addr)
@@ -705,6 +711,10 @@ func (r *Router) pullPrefill(ctx context.Context, addr string, id uint64, req Re
 			var d DoneMsg
 			if err := jsonUnmarshal(payload, &d); err != nil {
 				return nil, err
+			}
+			switch d.Kind {
+			case "queue_full", "draining", "transfer":
+				return nil, fmt.Errorf("%w: %s: %s (%s)", errPrefillBusy, addr, d.Err, d.Kind)
 			}
 			return nil, fmt.Errorf("disagg: prefill %s: %s (%s)", addr, d.Err, d.Kind)
 		default:

@@ -2,6 +2,7 @@ package disagg
 
 import (
 	"context"
+	"fmt"
 	"net"
 	"sync"
 	"testing"
@@ -78,12 +79,12 @@ func TestRemoveReplicaMidStream(t *testing.T) {
 	stub, stopStub := pausingStub(t, prefix, release)
 	defer stopStub()
 
-	p, err := NewPrefillNode(PrefillConfig{Addr: "127.0.0.1:0", ModelSeed: testModelSeed})
+	p, err := NewNode(NodeConfig{Addr: "127.0.0.1:0", Role: "prefill", Serve: testServeConfig()})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer p.Close()
-	d, err := NewDecodeNode(DecodeConfig{Addr: "127.0.0.1:0", Serve: testServeConfig()})
+	d, err := NewNode(NodeConfig{Addr: "127.0.0.1:0", Serve: testServeConfig()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,12 +143,12 @@ func TestRemoveReplicaMidStream(t *testing.T) {
 // and the waitgroup registration must be atomic, or a Submit landing in
 // the window panics the waitgroup Close is waiting on. Run under -race.
 func TestSubmitCloseRace(t *testing.T) {
-	p, err := NewPrefillNode(PrefillConfig{Addr: "127.0.0.1:0", ModelSeed: testModelSeed})
+	p, err := NewNode(NodeConfig{Addr: "127.0.0.1:0", Role: "prefill", Serve: testServeConfig()})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer p.Close()
-	d, err := NewDecodeNode(DecodeConfig{Addr: "127.0.0.1:0", Serve: testServeConfig()})
+	d, err := NewNode(NodeConfig{Addr: "127.0.0.1:0", Serve: testServeConfig()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,5 +183,62 @@ func TestSubmitCloseRace(t *testing.T) {
 		close(start)
 		r.Close() // races the submitters by design
 		wg.Wait()
+	}
+}
+
+// TestRouterSkipsDrainedPrefill drains one of two prefill nodes:
+// its "draining" answer must pass each job to the other prefill node,
+// whatever the round-robin start, and every stream must still match the
+// single-process reference.
+func TestRouterSkipsDrainedPrefill(t *testing.T) {
+	var prefills []*Node
+	for i := 0; i < 2; i++ {
+		p, err := NewNode(NodeConfig{Addr: "127.0.0.1:0", Role: "prefill", Serve: testServeConfig()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer p.Close()
+		prefills = append(prefills, p)
+	}
+	d, err := NewNode(NodeConfig{Addr: "127.0.0.1:0", Serve: testServeConfig()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	r, err := NewRouter(RouterConfig{
+		Prefills: []string{prefills[0].Addr(), prefills[1].Addr()}, Decodes: []string{d.Addr()},
+		ModelSeed: testModelSeed, HealthInterval: time.Hour,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+
+	drained, live := prefills[0], prefills[1]
+	drained.Drain()
+	for !drained.rt.Draining() {
+		time.Sleep(time.Millisecond)
+	}
+	ref := newReference(t)
+	for i := 0; i < 2; i++ { // both round-robin starts
+		req := Request{Prompt: []int{4, 4, 2, 1, 9}, MaxNewTokens: 5, Seed: int64(i)}
+		want := refTokens(t, ref, req)
+		st, err := r.Submit(context.Background(), req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := collectRouted(st)
+		if err != nil {
+			t.Fatalf("request %d with one prefill node drained: %v", i, err)
+		}
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("request %d: routed %v, reference %v", i, got, want)
+		}
+	}
+	if n := drained.Stats().Prefills; n != 0 {
+		t.Errorf("drained prefill node ran %d prefills", n)
+	}
+	if n := live.Stats().Prefills; n != 2 {
+		t.Errorf("live prefill node ran %d prefills, want 2", n)
 	}
 }

@@ -44,9 +44,8 @@ func BenchmarkServerRequest(b *testing.B) {
 func BenchmarkPrefixPrefill(b *testing.B) {
 	cfg := Config{
 		PrefillWorkers: 1, DecodeParallelism: 1, MaxBatch: 4, MaxNewTokens: 1,
-		Backend:               prefixTestBackend,
-		PrefixCacheBytes:      1 << 24,
-		PrefixCachePageTokens: 8,
+		Backend:          prefixTestBackend,
+		PrefixCacheBytes: 1 << 24,
 	}
 	run := func(b *testing.B, prompt func(i int) []int) {
 		s, err := New(cfg)

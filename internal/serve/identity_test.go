@@ -32,6 +32,9 @@ type identityCase struct {
 //     RestoreHead → SubmitPrefilled;
 //   - the same handoff from a session that was itself restored from
 //     the donor's prefix pages and resumed over the suffix;
+//   - the prefill role's entry: Server.Prefill on a server whose prefix
+//     tier holds the donor's pages, then ExportWire → RestoreHead →
+//     SubmitPrefilled on another server;
 //   - continuous batching: all ten cases submitted at once to one server
 //     with three prefill workers, a decode batch of 8 and four decode
 //     goroutines, so a request's tokens cannot depend on its batch.
@@ -69,6 +72,15 @@ func TestIdentityMatrix(t *testing.T) {
 	prefixCfg := base
 	prefixCfg.PrefixCacheBytes = 1 << 24
 	prefix := newTestServer(t, prefixCfg)
+	entry := newTestServer(t, prefixCfg)
+	prefillOnly := func(t *testing.T, prompt []int, seed int64) (*model.Session, int) {
+		t.Helper()
+		sess, tok, err := entry.Prefill(context.Background(), Request{Prompt: prompt, Seed: seed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sess, tok
+	}
 	decode := newTestServer(t, base)
 	together := submitTogether(t, newTestServer(t,
 		Config{PrefillWorkers: 3, DecodeParallelism: 4, MaxBatch: 8, MaxNewTokens: maxNew}), cases)
@@ -89,6 +101,11 @@ func TestIdentityMatrix(t *testing.T) {
 			sess, tok := prefilled(t, decode, c.prompt, c.seed, &c)
 			return generateFrom(t, decode, shipOverWire(t, decode, sess, c.seed), tok, c.seed)
 		}},
+		{"prefill-entry", func(t *testing.T, c identityCase) []int {
+			prefillOnly(t, c.donor, c.seed)
+			sess, tok := prefillOnly(t, c.prompt, c.seed)
+			return generateFrom(t, decode, shipOverWire(t, decode, sess, c.seed), tok, c.seed)
+		}},
 		{"batched", func(t *testing.T, c identityCase) []int {
 			return together[c.seed]
 		}},
@@ -102,9 +119,11 @@ func TestIdentityMatrix(t *testing.T) {
 			}
 		}
 	}
-	if pc := prefix.Metrics().PrefixCache; pc.Hits != seeds || pc.TokensReused != seeds*sharedLen {
-		t.Errorf("prefix tier: %d hits reusing %d tokens, want %d hits of %d tokens",
-			pc.Hits, pc.TokensReused, seeds, sharedLen)
+	for name, s := range map[string]*Server{"prefix-warm": prefix, "prefill-entry": entry} {
+		if pc := s.Metrics().PrefixCache; pc.Hits != seeds || pc.TokensReused != seeds*sharedLen {
+			t.Errorf("%s prefix tier: %d hits reusing %d tokens, want %d hits of %d tokens",
+				name, pc.Hits, pc.TokensReused, seeds, sharedLen)
+		}
 	}
 }
 

@@ -93,15 +93,16 @@ type PrefixCacheBackend interface {
 
 // prefixBytesPerToken is the budget-accounting cost of one cached
 // token: the framed wire size of its quantized K and V rows (codes
-// plus FP16 min/scale metadata) summed over every (layer, head).
-func prefixBytesPerToken(spec model.Spec, pi, kvBits, pageTokens int) int {
+// plus FP16 min/scale metadata) summed over every (layer, head), for a
+// page of one Π-token partition.
+func prefixBytesPerToken(spec model.Spec, pi, kvBits int) int {
 	dh := spec.HeadDim
-	kMetaBlocks := pageTokens * ((dh + pi - 1) / pi)        // K: per-row partitions
-	vMetaBlocks := dh * (pageTokens / pi)                   // V: per-column partitions
-	perHead := 2*quant.PackedBytes(pageTokens*dh, kvBits) + // K + V codes
+	kMetaBlocks := pi * ((dh + pi - 1) / pi)        // K: per-row partitions
+	vMetaBlocks := dh                               // V: per-column partitions
+	perHead := 2*quant.PackedBytes(pi*dh, kvBits) + // K + V codes
 		4*(kMetaBlocks+vMetaBlocks) // fp16 min+scale per partition
 	perBlock := perHead * spec.Layers * spec.Heads
-	return (perBlock + pageTokens - 1) / pageTokens
+	return (perBlock + pi - 1) / pi
 }
 
 // localPrefixCache is the in-process backend: a kvcache.PrefixIndex
@@ -163,14 +164,12 @@ func (c *localPrefixCache) Close() error { return nil }
 type prefixTier struct {
 	backend    PrefixCacheBackend
 	pageTokens int
-	pi         int
 }
 
-// newPrefixTier validates the serving configuration's prefix-cache
-// settings against the attention backend and builds the tier. The
-// backend factory must produce backends that export pages
-// (attention.PrefixBackend); the page granularity must be a positive
-// multiple of the backend's partition Π.
+// newPrefixTier validates the serving configuration's prefix cache
+// against the attention backend and builds the tier, in pages of one
+// partition (Π tokens). The backend factory must produce backends that
+// export pages (attention.PrefixBackend).
 func newPrefixTier(cfg Config) (*prefixTier, error) {
 	probe, err := cfg.Backend(0)
 	if err != nil {
@@ -184,19 +183,12 @@ func newPrefixTier(cfg Config) (*prefixTier, error) {
 	if err != nil {
 		return nil, fmt.Errorf("serve: prefix cache: %w", err)
 	}
-	pageTokens := cfg.PrefixCachePageTokens
-	if pageTokens == 0 {
-		pageTokens = pi
-	}
-	if pageTokens < 0 || pageTokens%pi != 0 {
-		return nil, &kvcache.PageAlignmentError{PageTokens: pageTokens, Pi: pi}
-	}
-	bpt := prefixBytesPerToken(cfg.Spec, pi, kvBits, pageTokens)
-	be, err := NewPrefixCache(cfg.PrefixCacheBytes, pageTokens, pi, bpt)
+	bpt := prefixBytesPerToken(cfg.Spec, pi, kvBits)
+	be, err := NewPrefixCache(cfg.PrefixCacheBytes, pi, pi, bpt)
 	if err != nil {
 		return nil, fmt.Errorf("serve: %w", err)
 	}
-	return &prefixTier{backend: be, pageTokens: pageTokens, pi: pi}, nil
+	return &prefixTier{backend: be, pageTokens: pi}, nil
 }
 
 // insertable returns the block-aligned token count of prompt that may

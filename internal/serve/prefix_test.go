@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"github.com/hackkv/hack/internal/attention"
-	"github.com/hackkv/hack/internal/kvcache"
 	"github.com/hackkv/hack/internal/model"
 	"github.com/hackkv/hack/internal/netsim"
 )
@@ -27,9 +26,8 @@ func prefixTestBackend(seed int64) (attention.Backend, error) {
 func prefixServerConfig(budget int64) Config {
 	return Config{
 		PrefillWorkers: 1, DecodeParallelism: 1, MaxBatch: 4, MaxNewTokens: 8,
-		Backend:               prefixTestBackend,
-		PrefixCacheBytes:      budget,
-		PrefixCachePageTokens: 8,
+		Backend:          prefixTestBackend,
+		PrefixCacheBytes: budget,
 	}
 }
 
@@ -129,7 +127,7 @@ func TestPrefixCacheShortPromptsBypass(t *testing.T) {
 func TestPrefixCacheEvictionUnderPressure(t *testing.T) {
 	cfg := prefixServerConfig(0)
 	// Room for 4 blocks of 8 tokens at the Toy spec's framed page cost.
-	cfg.PrefixCacheBytes = int64(4 * 8 * prefixBytesPerToken(model.Toy(), 8, 2, 8))
+	cfg.PrefixCacheBytes = int64(4 * 8 * prefixBytesPerToken(model.Toy(), 8, 2))
 	cfg.PrefillWorkers = 2
 	s := newTestServer(t, cfg)
 	vocab := s.Spec().Vocab
@@ -169,19 +167,12 @@ func TestPrefixCacheEvictionUnderPressure(t *testing.T) {
 	}
 }
 
-// TestPrefixCacheConfigValidation pins tier construction errors: page
-// granularity off the partition grid surfaces the typed alignment
-// error, and backends that cannot page their cache are rejected
-// outright.
+// TestPrefixCacheConfigValidation pins tier construction errors:
+// backends that cannot page their cache are rejected outright. (Pages
+// are one partition, so the tier cannot be misaligned; kvcache's
+// TestPageAlignmentError pins NewPrefixIndex's own check.)
 func TestPrefixCacheConfigValidation(t *testing.T) {
-	cfg := prefixServerConfig(1 << 20)
-	cfg.PrefixCachePageTokens = 12 // not a multiple of Π=8
-	_, err := New(cfg)
-	var pe *kvcache.PageAlignmentError
-	if !errors.As(err, &pe) {
-		t.Fatalf("misaligned page tokens: %v", err)
-	}
-
+	var cfg Config
 	for name, backend := range map[string]BackendFactory{
 		"fp16": func(int64) (attention.Backend, error) { return attention.FP16Backend{}, nil },
 		"no-RQE": func(seed int64) (attention.Backend, error) {

@@ -54,9 +54,9 @@ type Config struct {
 	// rounding).
 	Backend BackendFactory
 	// Scheduler routes arrivals across the prefill workers, reusing the
-	// simulator's placement policies: ShortestQueue (queued prompt
-	// tokens), RoundRobin, FewestRequests, and LoadAware/SLOAware
-	// (estimated drain including the in-flight prompt).
+	// simulator's placement policies: ShortestQueue and LoadAware/
+	// SLOAware (queued plus in-flight prompt tokens), RoundRobin, and
+	// FewestRequests.
 	Scheduler sim.Scheduler
 	// PrefillWorkers is the number of concurrent prefill goroutines,
 	// each with its own bounded admission queue. Default 2; 1 gives the
@@ -84,14 +84,10 @@ type Config struct {
 	// and skip prefill over the matched span, streaming tokens that are
 	// byte-identical to a cold prefill of the same (prompt, seed) — and
 	// so to a server without the tier. The attention backend must export
-	// pages (attention.PrefixBackend: HACK with RQE and no eviction).
-	// Requests never fail on the tier: a tier error is counted and the
-	// request takes a cold prefill.
+	// pages (attention.PrefixBackend: HACK with RQE). A page is one
+	// partition of Π tokens. Requests never fail on the tier: a tier
+	// error is counted and the request takes a cold prefill.
 	PrefixCacheBytes int64
-	// PrefixCachePageTokens is the tier's block granularity in tokens;
-	// it must be a positive multiple of the backend's partition Π.
-	// 0 selects Π itself.
-	PrefixCachePageTokens int
 }
 
 // Request is one generation job.
@@ -252,9 +248,8 @@ func New(cfg Config) (*Server, error) {
 	if !validScheduler(cfg.Scheduler) {
 		return nil, fmt.Errorf("serve: unknown scheduler %d", cfg.Scheduler)
 	}
-	if cfg.PrefixCacheBytes < 0 || cfg.PrefixCachePageTokens < 0 {
-		return nil, fmt.Errorf("serve: negative prefix cache config (bytes %d page %d)",
-			cfg.PrefixCacheBytes, cfg.PrefixCachePageTokens)
+	if cfg.PrefixCacheBytes < 0 {
+		return nil, fmt.Errorf("serve: negative prefix cache budget %d", cfg.PrefixCacheBytes)
 	}
 	if cfg.Backend == nil {
 		cfg.Backend = func(seed int64) (attention.Backend, error) {
@@ -330,6 +325,37 @@ func (s *Server) Draining() bool {
 // rejects with ErrDraining. The request's tokens stop flowing when ctx
 // is cancelled.
 func (s *Server) Submit(ctx context.Context, req Request) (*Stream, error) {
+	a, err := s.enqueue(ctx, req)
+	if err != nil {
+		return nil, err
+	}
+	return a.stream, nil
+}
+
+// Prefill runs only the prefill half of req on the prefill workers —
+// the prefill role of a disaggregated deployment. It shares Submit's
+// validation, admission queues, scheduler and prefix tier, with a
+// budget of one token, and returns the prefilled session and its first
+// token for the caller to ship.
+func (s *Server) Prefill(ctx context.Context, req Request) (*model.Session, int, error) {
+	req.MaxNewTokens = 1
+	a, err := s.enqueue(ctx, req)
+	if err != nil {
+		return nil, 0, err
+	}
+	// prefillOne seals a one-token stream right after the prefill
+	// (never reaching the decode batcher), having set a.sess first; a
+	// failed prefill seals it with no token and an error.
+	tok := <-a.stream.tokens
+	if err := a.stream.Err(); err != nil {
+		return nil, 0, err
+	}
+	return a.sess, tok.ID, nil
+}
+
+// enqueue validates req and places it on the routed prefill worker's
+// admission queue.
+func (s *Server) enqueue(ctx context.Context, req Request) (*active, error) {
 	if len(req.Prompt) == 0 {
 		return nil, fmt.Errorf("serve: empty prompt")
 	}
@@ -377,7 +403,7 @@ func (s *Server) Submit(ctx context.Context, req Request) (*Stream, error) {
 		return nil, ErrQueueFull
 	}
 	s.rec.submitted.Add(1)
-	return a.stream, nil
+	return a, nil
 }
 
 // Shutdown gracefully drains the server: new submissions are rejected,

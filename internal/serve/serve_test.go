@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"fmt"
+	"sync"
 	"testing"
 	"time"
 
@@ -262,5 +263,51 @@ func TestBackendFactoryError(t *testing.T) {
 	}
 	if snap := s.Metrics(); snap.Failed != 1 {
 		t.Errorf("failed count %d, want 1", snap.Failed)
+	}
+}
+
+// TestShortestQueueSeesInflightPrompt pins ShortestQueue's score as
+// queued plus in-flight prompt tokens: with one of two workers wedged
+// mid-prefill on a long prompt, the next request goes to the idle
+// worker and completes while the busy one is still wedged.
+func TestShortestQueueSeesInflightPrompt(t *testing.T) {
+	entered, gate := make(chan struct{}), make(chan struct{})
+	s := newTestServer(t, Config{
+		PrefillWorkers: 2, MaxNewTokens: 2, Scheduler: sim.ShortestQueue,
+		Backend: func(seed int64) (attention.Backend, error) {
+			if seed == 99 {
+				close(entered)
+				<-gate
+			}
+			return attention.NewHACK(attention.DefaultHACKConfig(seed))
+		},
+	})
+	// Runs before the server-shutdown cleanup (LIFO), so a failure
+	// cannot leave Shutdown waiting on the wedged worker.
+	var once sync.Once
+	release := func() { once.Do(func() { close(gate) }) }
+	t.Cleanup(release)
+	vocab := s.Spec().Vocab
+
+	busy, err := s.Submit(context.Background(), Request{Prompt: promptFor(0, 256, vocab), Seed: 99})
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-entered // a worker has dequeued the long prompt and is wedged on it
+	st, err := s.Submit(context.Background(), Request{Prompt: promptFor(1, 8, vocab), Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-st.closed:
+	case <-time.After(30 * time.Second):
+		t.Fatal("request queued behind the busy worker while the other idled")
+	}
+	if toks := collect(t, st); len(toks) != 2 || st.Err() != nil {
+		t.Fatalf("idle-worker request: %v, %v", toks, st.Err())
+	}
+	release()
+	if toks := collect(t, busy); len(toks) != 2 || busy.Err() != nil {
+		t.Fatalf("busy-worker request: %v, %v", toks, busy.Err())
 	}
 }

@@ -22,12 +22,13 @@ type prefillWorker struct {
 }
 
 // route picks the prefill worker for an arriving prompt, mirroring the
-// simulator's placement policies (sim.pickPrefill): ShortestQueue by
-// queued prompt tokens, RoundRobin by cursor, FewestRequests by queued
-// request count, and LoadAware/SLOAware by estimated drain — queued
-// plus in-flight tokens. (SLOAware's per-request compression-class
-// admission is a cost-model construct; at the numeric runtime it routes
-// like LoadAware.) Called with s.mu held.
+// simulator's placement policies (sim.pickPrefill): RoundRobin by
+// cursor, FewestRequests by queued request count, and ShortestQueue and
+// LoadAware/SLOAware by queued plus in-flight prompt tokens — the sim
+// counts a prompt as queued until its prefill finishes, so a busy
+// worker never ties with an idle one. (SLOAware's per-request
+// compression-class admission is a cost-model construct; at the numeric
+// runtime it routes like LoadAware.) Called with s.mu held.
 func (s *Server) route(promptLen int) *prefillWorker {
 	best := 0
 	switch s.cfg.Scheduler {
@@ -45,19 +46,12 @@ func (s *Server) route(promptLen int) *prefillWorker {
 				best, bestN = i, n
 			}
 		}
-	case sim.LoadAware, sim.SLOAware:
+	default: // ShortestQueue, LoadAware, SLOAware
 		bestScore := int64(math.MaxInt64)
 		for i, w := range s.workers {
 			score := w.queuedToks.Load() + w.inflightTok.Load()
 			if score < bestScore {
 				best, bestScore = i, score
-			}
-		}
-	default: // ShortestQueue
-		bestToks := int64(math.MaxInt64)
-		for i, w := range s.workers {
-			if toks := w.queuedToks.Load(); toks < bestToks {
-				best, bestToks = i, toks
 			}
 		}
 	}
@@ -81,9 +75,11 @@ func (s *Server) queueDepth() int {
 func (s *Server) runPrefill(w *prefillWorker) {
 	defer s.prefillWG.Done()
 	for a := range w.queue {
+		// Mark the prompt in flight before taking it off the queue
+		// counters, so route always sees it in one of them.
+		w.inflightTok.Store(int64(len(a.req.Prompt)))
 		w.queuedReqs.Add(-1)
 		w.queuedToks.Add(-int64(len(a.req.Prompt)))
-		w.inflightTok.Store(int64(len(a.req.Prompt)))
 		s.prefillOne(a)
 		w.inflightTok.Store(0)
 	}

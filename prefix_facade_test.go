@@ -2,7 +2,9 @@ package hack_test
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
+	"net/http"
 	"strings"
 	"testing"
 	"time"
@@ -86,19 +88,114 @@ func TestListenPrefixCacheRequiresHomomorphic(t *testing.T) {
 	}
 }
 
-// TestListenDisaggRejectsPrefixCache pins the incompatibility between
-// the shared-prefix tier and the disaggregated KV wire.
+// TestListenDisaggRejectsPrefixCache pins where the shared-prefix tier
+// may run: where prefill runs. The prefill role hosts it; the decode
+// and router roles refuse it.
 func TestListenDisaggRejectsPrefixCache(t *testing.T) {
-	eng, err := hack.New(
-		hack.WithRole(hack.RolePrefill),
-		hack.WithPrefixCache(1<<20),
-	)
+	for _, role := range []hack.Role{hack.RoleDecode, hack.RoleRouter} {
+		eng, err := hack.New(
+			hack.WithRole(role),
+			hack.WithPeers([]string{"127.0.0.1:1"}, nil),
+			hack.WithPrefixCache(1<<20),
+		)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = eng.ListenDisagg(context.Background())
+		if err == nil || !strings.Contains(err.Error(), "prefix") {
+			t.Fatalf("%s role accepted a prefix cache: %v", role, err)
+		}
+	}
+	eng, err := hack.New(hack.WithRole(hack.RolePrefill), hack.WithPrefixCache(1<<20))
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = eng.ListenDisagg(context.Background())
-	if err == nil || !strings.Contains(err.Error(), "prefix") {
-		t.Fatalf("disaggregated role accepted a prefix cache: %v", err)
+	p, err := eng.ListenDisagg(context.Background())
+	if err != nil {
+		t.Fatalf("prefill role refused a prefix cache: %v", err)
+	}
+	p.Close()
+}
+
+// TestDisaggPrefixTierOnPrefillRole runs the shared-prefix tier on a
+// fleet: a prefill node with WithPrefixCache serves a donor prompt,
+// then a prompt sharing its first 128 tokens. The routed stream must
+// equal the local cold run, and the prefill node's /metrics must show
+// the hit.
+func TestDisaggPrefixTierOnPrefillRole(t *testing.T) {
+	ctx := context.Background()
+	const shared = 128 // two Π=64 pages
+	prompt, donor := make([]int, shared+21), make([]int, shared+40)
+	for i := range prompt {
+		prompt[i] = (7*i + 3) % 128
+	}
+	copy(donor, prompt[:shared])
+	for i := shared; i < len(donor); i++ {
+		donor[i] = (5*i + 1) % 128
+	}
+	req := hack.RoutedRequest{Prompt: prompt, MaxNewTokens: 6, Seed: 23}
+
+	local, err := listenEngine(t, "HACK").Listen(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer local.Shutdown(ctx)
+	want, err := local.Generate(ctx, hack.GenRequest{Prompt: prompt, MaxNewTokens: req.MaxNewTokens, Seed: req.Seed})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	prefill, err := disaggEngine(t, hack.RolePrefill, hack.WithPrefixCache(1<<24),
+		hack.WithDisaggConfig(hack.DisaggConfig{HTTPAddr: "127.0.0.1:0"})).ListenDisagg(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer prefill.Close()
+	decode, err := disaggEngine(t, hack.RoleDecode).ListenDisagg(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer decode.Close()
+	router, err := disaggEngine(t, hack.RoleRouter,
+		hack.WithPeers([]string{prefill.WireAddr()}, []string{decode.WireAddr()}),
+		hack.WithDisaggConfig(hack.DisaggConfig{HealthInterval: time.Hour}),
+	).ListenDisagg(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer router.Close()
+
+	routed := func(req hack.RoutedRequest) []int {
+		t.Helper()
+		st, err := router.Submit(ctx, req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out []int
+		for tok := range st.Tokens() {
+			out = append(out, tok.ID)
+		}
+		if err := st.Err(); err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	routed(hack.RoutedRequest{Prompt: donor, MaxNewTokens: 2, Seed: req.Seed})
+	if got := routed(req); fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("routed prefix-warm %v, local cold %v", got, want)
+	}
+
+	resp, err := http.Get("http://" + prefill.HTTPAddr() + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var snap hack.ServeSnapshot
+	if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
+		t.Fatal(err)
+	}
+	if pc := snap.PrefixCache; pc == nil || pc.Hits != 1 || pc.TokensReused != shared {
+		t.Fatalf("prefill node prefix stats %+v, want 1 hit reusing %d tokens", pc, shared)
 	}
 }
 

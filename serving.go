@@ -38,8 +38,9 @@ var (
 	ErrDraining = serve.ErrDraining
 )
 
-// ServeConfig sizes the live serving runtime a listening Engine starts.
-// The zero value of every field selects a default.
+// ServeConfig sizes the live serving runtime a listening Engine starts:
+// Listen's, and the one inside every prefill and decode node of
+// ListenDisagg. The zero value of every field selects a default.
 type ServeConfig struct {
 	// Model is the numeric architecture to actually execute. The zero
 	// value serves the Toy instance (the accuracy experiments' model):
@@ -62,27 +63,14 @@ type ServeConfig struct {
 	// decode batch; outputs are identical at every setting (default:
 	// size to the batch; 1 steps serially).
 	DecodeParallelism int
-	// PrefixCacheBytes, when positive, enables the shared-prefix KV
-	// cache tier under that byte budget: quantized Π-aligned KV pages
-	// from completed prefills are indexed by prompt prefix, and a later
-	// request sharing a cached prefix skips prefill over the matched
-	// span while streaming tokens byte-identical to its cold path — and
-	// to a deployment without the tier. Requires a homomorphic engine
-	// method with requantization elimination; Listen reports an error
-	// otherwise.
-	PrefixCacheBytes int64
-	// PrefixCachePageTokens is the cache page granularity in tokens; it
-	// must be a positive multiple of the method's partition size Π
-	// (default: Π itself).
-	PrefixCachePageTokens int
 }
 
-// WithServeConfig sizes the live runtime started by Engine.Listen.
+// WithServeConfig sizes the live runtime started by Engine.Listen or
+// Engine.ListenDisagg.
 func WithServeConfig(sc ServeConfig) Option {
 	return func(e *Engine) error {
 		if sc.PrefillWorkers < 0 || sc.MaxBatch < 0 || sc.QueueCap < 0 ||
-			sc.MaxNewTokens < 0 || sc.DecodeParallelism < 0 ||
-			sc.PrefixCacheBytes < 0 || sc.PrefixCachePageTokens < 0 {
+			sc.MaxNewTokens < 0 || sc.DecodeParallelism < 0 {
 			return fmt.Errorf("serve config fields must be >= 0 (%+v)", sc)
 		}
 		e.serveCfg = sc
@@ -91,8 +79,15 @@ func WithServeConfig(sc ServeConfig) Option {
 }
 
 // WithPrefixCache enables the shared-prefix KV cache tier under the
-// given byte budget (see ServeConfig.PrefixCacheBytes); it composes
-// with WithServeConfig regardless of option order.
+// given byte budget: quantized KV pages of Π tokens from completed
+// prefills are indexed by prompt prefix, and a later request sharing a
+// cached prefix skips prefill over the matched span while streaming
+// tokens byte-identical to its cold path — and to a deployment without
+// the tier. The tier runs where prefill runs: Listen and the prefill
+// role of ListenDisagg host it, the decode and router roles refuse it.
+// It requires a homomorphic engine method with requantization
+// elimination (Listen reports an error otherwise), and composes with
+// WithServeConfig regardless of option order.
 func WithPrefixCache(budgetBytes int64) Option {
 	return func(e *Engine) error {
 		if budgetBytes <= 0 {
@@ -119,23 +114,7 @@ type Server struct {
 // methods; see WithServeConfig for sizing). Cancelling ctx force-drains
 // the server in the background; call Shutdown for a graceful drain.
 func (e *Engine) Listen(ctx context.Context) (*Server, error) {
-	sc := e.serveCfg
-	if e.prefixBytes > 0 && sc.PrefixCacheBytes == 0 {
-		sc.PrefixCacheBytes = e.prefixBytes
-	}
-	rt, err := serve.New(serve.Config{
-		Spec:                  sc.Model,
-		ModelSeed:             sc.ModelSeed,
-		Backend:               serve.BackendForMethod(e.method, e.kernelPar),
-		Scheduler:             e.scheduler,
-		PrefillWorkers:        sc.PrefillWorkers,
-		MaxBatch:              sc.MaxBatch,
-		QueueCap:              sc.QueueCap,
-		MaxNewTokens:          sc.MaxNewTokens,
-		DecodeParallelism:     sc.DecodeParallelism,
-		PrefixCacheBytes:      sc.PrefixCacheBytes,
-		PrefixCachePageTokens: sc.PrefixCachePageTokens,
-	})
+	rt, err := serve.New(e.runtimeConfig())
 	if err != nil {
 		return nil, fmt.Errorf("hack: %w", err)
 	}
@@ -152,6 +131,24 @@ func (e *Engine) Listen(ctx context.Context) (*Server, error) {
 		}()
 	}
 	return &Server{rt: rt}, nil
+}
+
+// runtimeConfig is the serving runtime every role that hosts one
+// builds: the local server and both disaggregated node roles.
+func (e *Engine) runtimeConfig() serve.Config {
+	sc := e.serveCfg
+	return serve.Config{
+		Spec:              sc.Model,
+		ModelSeed:         sc.ModelSeed,
+		Backend:           serve.BackendForMethod(e.method, e.kernelPar),
+		Scheduler:         e.scheduler,
+		PrefillWorkers:    sc.PrefillWorkers,
+		MaxBatch:          sc.MaxBatch,
+		QueueCap:          sc.QueueCap,
+		MaxNewTokens:      sc.MaxNewTokens,
+		DecodeParallelism: sc.DecodeParallelism,
+		PrefixCacheBytes:  e.prefixBytes,
+	}
 }
 
 // Submit admits one generation request and returns its token stream.
