@@ -2,7 +2,7 @@
 // the continuous-batching runtime, generating real tokens through the
 // homomorphic HACK kernels (or any registered serving method).
 //
-//	hackserved -addr 127.0.0.1:8080 -method HACK -scheduler load-aware
+//	hackserved -addr 127.0.0.1:8080 -method HACK -prefill-workers 2
 //
 // Endpoints (the shared handler stack from internal/api, identical on
 // the local and router roles):
@@ -46,7 +46,8 @@
 //
 // Prefill and decode nodes are one node type around the serving
 // runtime, so -prefill-workers and -queue size a prefill node's
-// prefills as they size the local role's. They speak the wire protocol
+// prefills as they size the local role's: the workers pull from one
+// FIFO admission queue of -prefill-workers × -queue slots. They speak the wire protocol
 // on -wire and serve /healthz + /metrics on -addr; the router serves
 // the same HTTP API as the local role on -addr (NDJSON /v1/generate
 // proxied over the wire, /metrics reporting the deployment view) and
@@ -75,7 +76,7 @@
 // SIGINT/SIGTERM begin a graceful drain: new work is rejected (429/503
 // responses), in-flight streams run to completion (bounded by
 // -drain-timeout), then the process exits 0. Run with -h for the flag
-// list; unknown -method/-scheduler/-role values exit with status 2 and
+// list; unknown -method/-role values exit with status 2 and
 // list the valid names.
 package main
 
@@ -134,11 +135,9 @@ func run(args []string, stdout, stderr io.Writer) error {
 	var (
 		addr      = fs.String("addr", "127.0.0.1:8080", "listen address (host:port; port 0 picks a free port)")
 		method    = fs.String("method", "HACK", "serving method (kernel family)")
-		scheduler = fs.String("scheduler", "shortest-queue",
-			"admission routing policy: "+strings.Join(hack.Schedulers(), ", "))
 		workers   = fs.Int("prefill-workers", 2, "concurrent prefill workers, local and prefill roles (1 = deterministic single-worker mode)")
 		batch     = fs.Int("batch", 8, "max continuous decode batch")
-		queueCap  = fs.Int("queue", 64, "admission queue bound per prefill worker, local and prefill roles (full queues load-shed)")
+		queueCap  = fs.Int("queue", 64, "admission slots per prefill worker in the one shared queue, local and prefill roles (a full queue load-sheds)")
 		maxNew    = fs.Int("max-new", 32, "per-request generated-token cap")
 		decodePar = fs.Int("decode-par", 0, "decode-step goroutine fan-out (0 = size to batch, 1 = serial)")
 		seed      = fs.Int64("seed", 1, "model weight seed")
@@ -162,10 +161,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 
 	// Flag-style usage errors: report the valid names and exit 2.
 	if _, err := hack.MethodNamed(*method); err != nil {
-		return usageError{err: err}
-	}
-	sched, err := hack.SchedulerNamed(*scheduler)
-	if err != nil {
 		return usageError{err: err}
 	}
 	if *workers < 0 || *batch < 0 || *queueCap < 0 || *maxNew < 0 || *decodePar < 0 || *prefixB < 0 {
@@ -197,7 +192,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 
 	opts := []hack.Option{
 		hack.WithMethod(*method),
-		hack.WithScheduler(sched),
 		hack.WithServeConfig(hack.ServeConfig{
 			ModelSeed:         *seed,
 			PrefillWorkers:    *workers,
@@ -236,8 +230,8 @@ func run(args []string, stdout, stderr io.Writer) error {
 		_ = srv.Shutdown(ctx)
 		return err
 	}
-	fmt.Fprintf(stdout, "hackserved: listening on http://%s (%s, %s, %d prefill workers, batch %d)\n",
-		ln.Addr(), *method, sched, *workers, *batch)
+	fmt.Fprintf(stdout, "hackserved: listening on http://%s (%s, %d prefill workers, batch %d)\n",
+		ln.Addr(), *method, *workers, *batch)
 
 	httpSrv := &http.Server{Handler: srv.Handler(), ReadHeaderTimeout: 10 * time.Second}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)

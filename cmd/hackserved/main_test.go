@@ -36,11 +36,6 @@ func TestUnknownNamesAreUsageErrors(t *testing.T) {
 		args []string
 		want string // a valid name the error must list
 	}{
-		{[]string{"-scheduler", "nope"}, "shortest-queue"},
-		{[]string{"-scheduler", "nope"}, "round-robin"},
-		{[]string{"-scheduler", "nope"}, "fewest-requests"},
-		{[]string{"-scheduler", "nope"}, "load-aware"},
-		{[]string{"-scheduler", "nope"}, "slo"},
 		{[]string{"-method", "nope"}, "HACK"},
 		{[]string{"-method", "nope"}, "Baseline"},
 	}
@@ -69,6 +64,7 @@ func TestBadFlagValuesAreUsageErrors(t *testing.T) {
 		{"-decode-par", "-1"},
 		{"-drain-timeout", "-5s"},
 		{"-no-such-flag"},
+		{"-scheduler", "load-aware"}, // undefined: placement is the simulator's concern
 	} {
 		_, _, err := exec(t, args...)
 		var ue usageError
@@ -84,7 +80,7 @@ func TestHelpExitsZero(t *testing.T) {
 	if err != nil {
 		t.Fatalf("-h: %v", err)
 	}
-	if !strings.Contains(stderr, "-scheduler") || !strings.Contains(stderr, "-addr") {
+	if !strings.Contains(stderr, "-prefill-workers") || !strings.Contains(stderr, "-addr") {
 		t.Errorf("-h usage output missing flags:\n%s", stderr)
 	}
 }

@@ -92,28 +92,8 @@ type DisaggConfig struct {
 	// ServeConfig.PrefillWorkers.
 	MaxConcurrentPrefills int
 	// HealthInterval is the router's /healthz polling period (default
-	// 500ms); DialTimeout bounds each dial+handshake (default 2s).
+	// 500ms).
 	HealthInterval time.Duration
-	DialTimeout    time.Duration
-	// RetryMax caps the router's decode retries after the first attempt
-	// (default 2; negative means budget-only, no count cap);
-	// RetryBackoff is the initial backoff, doubling per retry with
-	// ±RetryJitter/2 jitter (defaults 50ms, 0.2), all under the
-	// wall-clock RetryBudget (default 5s).
-	RetryMax     int
-	RetryBackoff time.Duration
-	RetryBudget  time.Duration
-	RetryJitter  float64
-	// FrameTimeout bounds each framed read/write inside a KV transfer or
-	// token stream (default 10s) so a half-open peer surfaces as a
-	// retryable timeout; negative disables the deadline.
-	FrameTimeout time.Duration
-	// Each decode replica sits behind a circuit breaker that opens after
-	// BreakerThreshold consecutive transport failures (default 3) and
-	// half-opens after BreakerCooldown (default 500ms). An open breaker
-	// removes the replica from placement even while /healthz answers.
-	BreakerThreshold int
-	BreakerCooldown  time.Duration
 	// ChaosScript names a fault-injection script (see ChaosScripts) the
 	// router replays against its own links after startup — a chaos-testing
 	// knob for drills against a live deployment. Kill actions are modeled
@@ -230,12 +210,8 @@ func (e *Engine) ListenDisagg(ctx context.Context) (*DisaggServer, error) {
 			Prefills: e.peerPrefills, Decodes: e.peerDecodes,
 			NodeID: dc.NodeID, HTTPAddr: dc.HTTPAddr,
 			Spec: sc.Model, ModelSeed: sc.ModelSeed, MethodName: e.method.Name,
-			DialTimeout: dc.DialTimeout, HealthInterval: dc.HealthInterval,
-			FrameTimeout: dc.FrameTimeout,
-			RetryMax:     dc.RetryMax, RetryBackoff: dc.RetryBackoff,
-			RetryBudget: dc.RetryBudget, RetryJitter: dc.RetryJitter,
-			BreakerThreshold: dc.BreakerThreshold, BreakerCooldown: dc.BreakerCooldown,
-			Chaos: inj,
+			HealthInterval: dc.HealthInterval,
+			Chaos:          inj,
 		})
 		if err == nil && inj != nil {
 			script, serr := chaos.ScriptNamed(dc.ChaosScript)

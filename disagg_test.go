@@ -145,7 +145,7 @@ func TestDisaggFacadeRoleErrors(t *testing.T) {
 	r, err := disaggEngine(t, hack.RoleRouter,
 		hack.WithPeers([]string{p.WireAddr()}, nil),
 		hack.WithDisaggConfig(hack.DisaggConfig{
-			HealthInterval: time.Hour, RetryBackoff: time.Millisecond,
+			HealthInterval: time.Hour,
 		}),
 	).ListenDisagg(context.Background())
 	if err != nil {

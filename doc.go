@@ -47,9 +47,9 @@
 // concurrent serving runtime (internal/serve) that actually runs
 // requests through the numeric transformer and the engine method's
 // kernels — the homomorphic HACK path for HACK-family methods — under
-// continuous batching. Arrivals are routed across prefill workers by
-// the engine's scheduler policy, the decode batcher re-forms its batch
-// every step, full admission queues load-shed with ErrQueueFull, and
+// continuous batching. Arrivals wait in one FIFO admission queue that
+// every prefill worker pulls from, the decode batcher re-forms its batch
+// every step, a full admission queue load-sheds with ErrQueueFull, and
 // Shutdown drains gracefully (ErrDraining for late submissions):
 //
 //	srv, err := eng.Listen(ctx)
@@ -109,7 +109,7 @@
 // wire, reproducing the paper's disaggregated deployment shape:
 // prefill and decode nodes are one node type around the same serving
 // runtime as Listen, and the role only labels the node's handshake.
-// RolePrefill nodes run prefills on the runtime's admission queues and
+// RolePrefill nodes run prefills on the runtime's admission queue and
 // prefill workers (sized by WithServeConfig, with the prefix tier when
 // WithPrefixCache is set) and ship each head's quantized KV pages as
 // CRC-checked wire frames — the same page format the prefix tier
@@ -131,28 +131,26 @@
 //
 // The handshake carries method, model spec and seed, so mismatched
 // nodes refuse to pair (ErrHandshakeRefused) rather than silently
-// diverge. WithDisaggConfig sizes addresses, concurrency and the
-// fault-tolerance posture; cmd/hackserved exposes the same roles as a
-// daemon (-role prefill|decode|router).
+// diverge. WithDisaggConfig sets addresses, health polling and chaos
+// drills; cmd/hackserved exposes the same roles as a daemon
+// (-role prefill|decode|router).
 //
 // # Fault tolerance and chaos testing
 //
 // The wire treats the network as hostile. A corrupt frame surfaces as
-// a typed checksum error and a missed per-frame deadline
-// (DisaggConfig.FrameTimeout) as a typed wire timeout; both are link
-// faults, so the router retries them — under jittered exponential
-// backoff (RetryBackoff, RetryJitter) bounded by an attempt cap
-// (RetryMax; negative means budget-only) and a wall-clock budget
-// (RetryBudget) — replaying the buffered KV transfer on another
+// a typed checksum error and a missed per-frame deadline as a typed
+// wire timeout; both are link faults, so the router retries them —
+// under jittered exponential backoff, bounded by an attempt cap and a
+// wall-clock budget — replaying the buffered KV transfer on another
 // replica with token streams deduplicated by index. Repeated link
-// failures trip a per-replica circuit breaker
-// (BreakerThreshold consecutive failures open it; after BreakerCooldown
-// a half-open probe decides) that steers placement away until the
-// health monitor's out-of-band probe re-closes it; breaker state rides
-// DisaggReport.Replicas and the router's Prometheus metrics. This is
-// the runtime's only breaker: the shared-prefix tier is in-process, and
-// a tier error falls back to a cold prefill instead of failing the
-// request.
+// failures trip a per-replica circuit breaker (consecutive failures
+// open it; after a cooldown a half-open probe decides) that steers
+// placement away until the health monitor's out-of-band probe
+// re-closes it; breaker state rides DisaggReport.Replicas and the
+// router's Prometheus metrics. Timeouts, retry limits and breaker
+// thresholds are fixed defaults. This is the runtime's only breaker:
+// the shared-prefix tier is in-process, and a tier error falls back to
+// a cold prefill instead of failing the request.
 //
 // DisaggConfig.ChaosScript (the -chaos-script router flag) replays a
 // named fault script — ChaosScripts() lists kill-decode,

@@ -272,7 +272,10 @@ func WithMemCapFrac(frac float64) Option {
 	}
 }
 
-// WithScheduler selects the prefill request-placement policy.
+// WithScheduler selects the simulator's prefill request-placement
+// policy: how Run, Serve and RunSweep place requests across prefill
+// replicas. It does not touch the live runtime, whose prefill workers
+// share one FIFO admission queue.
 func WithScheduler(s Scheduler) Option {
 	return func(e *Engine) error {
 		e.scheduler = s

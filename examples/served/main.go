@@ -19,7 +19,6 @@ import (
 func main() {
 	eng, err := hack.New(
 		hack.WithMethod("HACK"),
-		hack.WithScheduler(hack.LoadAware),
 		hack.WithServeConfig(hack.ServeConfig{
 			PrefillWorkers: 2,
 			MaxBatch:       8,

@@ -31,7 +31,7 @@ type NodeConfig struct {
 	// "decode"). It changes nothing else: every node answers both jobs.
 	Role string
 	// Serve configures the wrapped serving runtime: its admission
-	// queues, prefill workers and prefix tier run prefill jobs, and its
+	// queue, prefill workers and prefix tier run prefill jobs, and its
 	// continuous-batching loop runs decode jobs. Spec/ModelSeed/Backend
 	// must match every peer, which the handshake enforces.
 	Serve serve.Config

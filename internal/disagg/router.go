@@ -579,8 +579,12 @@ func (r *Router) pickExcluding(avoid *replica) *replica {
 		if rep.breaker.State() != chaos.BreakerClosed {
 			continue
 		}
+		// Equal load goes to the replica that has served the fewest
+		// requests, so idle replicas share sequential work instead of
+		// the first one taking every tie.
 		score := rep.pendingKV.Load() + inflightPenalty*rep.inflight.Load()
-		if best == nil || score < bestScore {
+		if best == nil || score < bestScore ||
+			(score == bestScore && rep.requests.Load() < best.requests.Load()) {
 			best, bestScore = rep, score
 		}
 	}

@@ -242,3 +242,47 @@ func TestRouterSkipsDrainedPrefill(t *testing.T) {
 		t.Errorf("live prefill node ran %d prefills, want 2", n)
 	}
 }
+
+// TestIdleDecodeTiesSpreadRequests pins the decode placement tie-break:
+// with two idle decode replicas, sequential requests tie on load, and
+// the one that has served fewer requests takes the next, so four
+// requests split 2/2 rather than all landing on the first replica.
+func TestIdleDecodeTiesSpreadRequests(t *testing.T) {
+	p, err := NewNode(NodeConfig{Addr: "127.0.0.1:0", Role: "prefill", Serve: testServeConfig()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	var decodes []string
+	for i := 0; i < 2; i++ {
+		d, err := NewNode(NodeConfig{Addr: "127.0.0.1:0", Serve: testServeConfig()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer d.Close()
+		decodes = append(decodes, d.Addr())
+	}
+	r, err := NewRouter(RouterConfig{
+		Prefills: []string{p.Addr()}, Decodes: decodes,
+		ModelSeed: testModelSeed, HealthInterval: time.Hour,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+
+	for i := 0; i < 4; i++ {
+		st, err := r.Submit(context.Background(), Request{Prompt: []int{4, 4, 2, 1, 9}, MaxNewTokens: 3, Seed: int64(i)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := collectRouted(st); err != nil {
+			t.Fatalf("request %d: %v", i, err)
+		}
+	}
+	for _, rep := range r.Report().Replicas {
+		if rep.Requests != 2 {
+			t.Errorf("replica %s served %d requests, want 2 of 4", rep.Addr, rep.Requests)
+		}
+	}
+}

@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"errors"
+	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -20,46 +21,56 @@ func gatedBackend(gate <-chan struct{}) BackendFactory {
 	}
 }
 
-// TestBackpressureQueueFull wedges the single prefill worker, fills its
-// bounded queue, and verifies the next submission is load-shed with
-// ErrQueueFull — then releases the gate and checks every admitted
-// request still completes.
+// TestBackpressureQueueFull wedges every prefill worker, fills the
+// shared queue's workers × QueueCap slots, and verifies the next
+// submission is load-shed with ErrQueueFull — then releases the gate
+// and checks every admitted request still completes.
 func TestBackpressureQueueFull(t *testing.T) {
+	for _, workers := range []int{1, 2} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			testBackpressureQueueFull(t, workers)
+		})
+	}
+}
+
+func testBackpressureQueueFull(t *testing.T, workers int) {
+	const queueCap = 2
 	gate := make(chan struct{})
 	s := newTestServer(t, Config{
-		PrefillWorkers: 1, QueueCap: 2, MaxBatch: 2, MaxNewTokens: 2,
+		PrefillWorkers: workers, QueueCap: queueCap, MaxBatch: 2, MaxNewTokens: 2,
 		Backend: gatedBackend(gate),
 	})
 	// Runs before the server-shutdown cleanup (LIFO), so a test failure
-	// cannot leave Shutdown waiting on the wedged worker.
+	// cannot leave Shutdown waiting on the wedged workers.
 	var once sync.Once
 	release := func() { once.Do(func() { close(gate) }) }
 	t.Cleanup(release)
 	prompt := []int{1, 2, 3, 4}
 	var admitted []*Stream
-
-	// First request is dequeued by the worker and wedges in the backend
-	// factory; poll until the queue is empty again so the two queue
-	// slots are genuinely free.
-	st, err := s.Submit(context.Background(), Request{Prompt: prompt})
-	if err != nil {
-		t.Fatal(err)
+	submit := func(what string) {
+		st, err := s.Submit(context.Background(), Request{Prompt: prompt})
+		if err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		admitted = append(admitted, st)
 	}
-	admitted = append(admitted, st)
+
+	// One request per worker is dequeued and wedges in the backend
+	// factory; poll until the queue is empty again so every queue slot
+	// is genuinely free.
+	for i := 0; i < workers; i++ {
+		submit(fmt.Sprintf("wedge %d", i))
+	}
 	deadline := time.Now().Add(5 * time.Second)
 	for s.Metrics().QueueDepth != 0 {
 		if time.Now().After(deadline) {
-			t.Fatal("worker never dequeued the wedged request")
+			t.Fatal("workers never dequeued the wedged requests")
 		}
 		time.Sleep(time.Millisecond)
 	}
 
-	for i := 0; i < 2; i++ { // fill the two queue slots
-		st, err := s.Submit(context.Background(), Request{Prompt: prompt})
-		if err != nil {
-			t.Fatalf("fill %d: %v", i, err)
-		}
-		admitted = append(admitted, st)
+	for i := 0; i < workers*queueCap; i++ { // fill every queue slot
+		submit(fmt.Sprintf("fill %d", i))
 	}
 	if _, err := s.Submit(context.Background(), Request{Prompt: prompt}); !errors.Is(err, ErrQueueFull) {
 		t.Fatalf("overflow submit: %v, want ErrQueueFull", err)

@@ -144,7 +144,7 @@ func (s *Server) Metrics() Snapshot {
 		RemotePrefills:   r.remotePrefills.Load(),
 		DecodeSteps:      r.steps.Load(),
 		BatchNow:         int(r.batchNow.Load()),
-		QueueDepth:       s.queueDepth(),
+		QueueDepth:       len(s.queue),
 		KVBytesNow:       r.kvNow.Load(),
 		KVBytesPeak:      r.kvPeak.Load(),
 		Draining:         s.Draining(),

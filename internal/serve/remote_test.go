@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"github.com/hackkv/hack/internal/model"
-	"github.com/hackkv/hack/internal/sim"
 )
 
 // shipSessionInto runs prefill outside the server, round-trips every
@@ -26,7 +25,7 @@ func shipSessionInto(t *testing.T, s *Server, req Request) (restored *model.Sess
 func TestSubmitPrefilledMatchesLocal(t *testing.T) {
 	newServer := func() *Server {
 		s, err := New(Config{PrefillWorkers: 1, MaxBatch: 4, DecodeParallelism: 1,
-			Scheduler: sim.LoadAware, MaxNewTokens: 16})
+			MaxNewTokens: 16})
 		if err != nil {
 			t.Fatal(err)
 		}

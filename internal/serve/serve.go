@@ -1,15 +1,17 @@
 // Package serve is the live serving runtime: where package sim prices
 // requests with the analytic cost model, serve actually runs them —
-// concurrent requests are admitted into bounded queues, routed across
-// prefill workers by the simulator's placement policies, prefilled
-// through the real numeric transformer, and then decoded by a
-// continuous-batching loop that re-forms the decode batch every step
-// over the homomorphic HACK kernels (or any other attention backend).
+// concurrent requests are admitted into one bounded FIFO queue that
+// every prefill worker pulls from, prefilled through the real numeric
+// transformer, and then decoded by a continuous-batching loop that
+// re-forms the decode batch every step over the homomorphic HACK
+// kernels (or any other attention backend). Placing requests across
+// separate prefill instances is the simulator's and the disaggregated
+// router's concern, not this runtime's.
 //
 // The runtime is the execution counterpart of the FlowKV/KVServe-style
 // serving loops the simulator models: per-request streamed token
 // channels with context cancellation, load shedding when the admission
-// queues fill, graceful drain on shutdown, and a live metrics snapshot
+// queue fills, graceful drain on shutdown, and a live metrics snapshot
 // (TTFT/TBT percentiles, queue depth, batch occupancy) built on the
 // same nearest-rank percentile code as the simulator summaries.
 //
@@ -29,7 +31,6 @@ import (
 
 	"github.com/hackkv/hack/internal/attention"
 	"github.com/hackkv/hack/internal/model"
-	"github.com/hackkv/hack/internal/sim"
 )
 
 // BackendFactory builds the per-request attention backend. The seed is
@@ -53,20 +54,16 @@ type Config struct {
 	// paper's shipping HACK configuration (Π=64, SE+RQE, stochastic
 	// rounding).
 	Backend BackendFactory
-	// Scheduler routes arrivals across the prefill workers, reusing the
-	// simulator's placement policies: ShortestQueue and LoadAware/
-	// SLOAware (queued plus in-flight prompt tokens), RoundRobin, and
-	// FewestRequests.
-	Scheduler sim.Scheduler
 	// PrefillWorkers is the number of concurrent prefill goroutines,
-	// each with its own bounded admission queue. Default 2; 1 gives the
-	// deterministic single-worker mode.
+	// all pulling from one shared admission queue in arrival order.
+	// Default 2; 1 gives the deterministic single-worker mode.
 	PrefillWorkers int
 	// MaxBatch caps the decode batch; the batcher re-forms the batch up
 	// to this size every step. Default 8.
 	MaxBatch int
-	// QueueCap bounds each prefill worker's admission queue; a Submit
-	// that finds its routed queue full is load-shed with ErrQueueFull.
+	// QueueCap is the admission slots per prefill worker: the shared
+	// queue holds PrefillWorkers × QueueCap waiting requests, and a
+	// Submit that finds it full is load-shed with ErrQueueFull.
 	// Default 64.
 	QueueCap int
 	// MaxNewTokens caps tokens generated per request (requests may ask
@@ -147,8 +144,8 @@ func (s *Stream) finish(err error) {
 }
 
 var (
-	// ErrQueueFull is the load-shedding signal: the routed admission
-	// queue is at capacity and the request was rejected, not queued.
+	// ErrQueueFull is the load-shedding signal: the admission queue is
+	// at capacity and the request was rejected, not queued.
 	ErrQueueFull = errors.New("serve: admission queue full")
 	// ErrDraining rejects submissions after Shutdown has begun.
 	ErrDraining = errors.New("serve: server draining")
@@ -197,12 +194,11 @@ type Server struct {
 	m       *model.Transformer
 	backend BackendFactory
 
-	mu       sync.Mutex // guards draining, rr and queue sends
+	mu       sync.Mutex // guards draining and queue sends
 	draining bool
-	rr       int // round-robin cursor
 
-	workers []*prefillWorker
-	admit   chan *active // prefill → decode handoff
+	queue chan *active // admission queue, shared by every prefill worker
+	admit chan *active // prefill → decode handoff
 
 	forceCtx    context.Context // cancelled when a drain deadline expires
 	forceCancel context.CancelFunc
@@ -245,9 +241,6 @@ func New(cfg Config) (*Server, error) {
 		return nil, fmt.Errorf("serve: negative config (workers %d batch %d queue %d maxNew %d par %d)",
 			cfg.PrefillWorkers, cfg.MaxBatch, cfg.QueueCap, cfg.MaxNewTokens, cfg.DecodeParallelism)
 	}
-	if !validScheduler(cfg.Scheduler) {
-		return nil, fmt.Errorf("serve: unknown scheduler %d", cfg.Scheduler)
-	}
 	if cfg.PrefixCacheBytes < 0 {
 		return nil, fmt.Errorf("serve: negative prefix cache budget %d", cfg.PrefixCacheBytes)
 	}
@@ -272,28 +265,18 @@ func New(cfg Config) (*Server, error) {
 		m:       m,
 		backend: cfg.Backend,
 		prefix:  prefix,
+		queue:   make(chan *active, cfg.PrefillWorkers*cfg.QueueCap),
 		admit:   make(chan *active, cfg.MaxBatch),
 		done:    make(chan struct{}),
 	}
 	s.forceCtx, s.forceCancel = context.WithCancel(context.Background())
+	s.prefillWG.Add(cfg.PrefillWorkers)
 	for i := 0; i < cfg.PrefillWorkers; i++ {
-		w := &prefillWorker{queue: make(chan *active, cfg.QueueCap)}
-		s.workers = append(s.workers, w)
-		s.prefillWG.Add(1)
-		go s.runPrefill(w)
+		go s.runPrefill()
 	}
 	s.batchWG.Add(1)
 	go s.runBatcher()
 	return s, nil
-}
-
-func validScheduler(sc sim.Scheduler) bool {
-	for _, v := range sim.AllSchedulers() {
-		if sc == v {
-			return true
-		}
-	}
-	return false
 }
 
 // Spec returns the served numeric architecture.
@@ -310,7 +293,7 @@ func (s *Server) Model() *model.Transformer { return s.m }
 func (s *Server) BackendFor(seed int64) (attention.Backend, error) { return s.backend(seed) }
 
 // Done returns a channel closed once the runtime has fully drained:
-// every queue empty, every stream sealed, every goroutine exited.
+// the queue empty, every stream sealed, every goroutine exited.
 func (s *Server) Done() <-chan struct{} { return s.done }
 
 // Draining reports whether Shutdown has begun.
@@ -321,7 +304,7 @@ func (s *Server) Draining() bool {
 }
 
 // Submit validates and admits one request, returning its token stream.
-// A full routed queue load-sheds with ErrQueueFull; a draining server
+// A full admission queue load-sheds with ErrQueueFull; a draining server
 // rejects with ErrDraining. The request's tokens stop flowing when ctx
 // is cancelled.
 func (s *Server) Submit(ctx context.Context, req Request) (*Stream, error) {
@@ -334,7 +317,7 @@ func (s *Server) Submit(ctx context.Context, req Request) (*Stream, error) {
 
 // Prefill runs only the prefill half of req on the prefill workers —
 // the prefill role of a disaggregated deployment. It shares Submit's
-// validation, admission queues, scheduler and prefix tier, with a
+// validation, admission queue and prefix tier, with a
 // budget of one token, and returns the prefilled session and its first
 // token for the caller to ship.
 func (s *Server) Prefill(ctx context.Context, req Request) (*model.Session, int, error) {
@@ -353,8 +336,7 @@ func (s *Server) Prefill(ctx context.Context, req Request) (*model.Session, int,
 	return a.sess, tok.ID, nil
 }
 
-// enqueue validates req and places it on the routed prefill worker's
-// admission queue.
+// enqueue validates req and places it on the admission queue.
 func (s *Server) enqueue(ctx context.Context, req Request) (*active, error) {
 	if len(req.Prompt) == 0 {
 		return nil, fmt.Errorf("serve: empty prompt")
@@ -386,18 +368,10 @@ func (s *Server) enqueue(ctx context.Context, req Request) (*active, error) {
 		s.rec.rejectedDrain.Add(1)
 		return nil, ErrDraining
 	}
-	w := s.route(len(req.Prompt))
-	// Count before the send: the worker decrements on dequeue, so
-	// incrementing after could transiently drive the counters negative
-	// and skew routing scores.
-	w.queuedReqs.Add(1)
-	w.queuedToks.Add(int64(len(req.Prompt)))
 	select {
-	case w.queue <- a:
+	case s.queue <- a:
 		s.mu.Unlock()
 	default:
-		w.queuedReqs.Add(-1)
-		w.queuedToks.Add(-int64(len(req.Prompt)))
 		s.mu.Unlock()
 		s.rec.rejectedFull.Add(1)
 		return nil, ErrQueueFull
@@ -417,9 +391,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	already := s.draining
 	s.draining = true
 	if !already {
-		for _, w := range s.workers {
-			close(w.queue)
-		}
+		close(s.queue)
 	}
 	s.mu.Unlock()
 

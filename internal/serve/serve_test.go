@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"github.com/hackkv/hack/internal/attention"
-	"github.com/hackkv/hack/internal/sim"
 )
 
 // collect reads a stream to completion and returns its token IDs,
@@ -152,28 +151,23 @@ func TestSubmitValidation(t *testing.T) {
 
 // TestConfigValidation exercises the server construction paths.
 func TestConfigValidation(t *testing.T) {
-	if _, err := New(Config{Scheduler: sim.Scheduler(99)}); err == nil {
-		t.Error("unknown scheduler accepted")
-	}
 	if _, err := New(Config{MaxBatch: -1}); err == nil {
 		t.Error("negative MaxBatch accepted")
 	}
-	for _, sched := range sim.AllSchedulers() {
-		s, err := New(Config{Scheduler: sched, PrefillWorkers: 3})
-		if err != nil {
-			t.Fatalf("%v: %v", sched, err)
+	s, err := New(Config{PrefillWorkers: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := runAll(t, s, 5, 8, 3)
+	for i, toks := range got {
+		if len(toks) != 3 {
+			t.Errorf("request %d got %d tokens, want 3", i, len(toks))
 		}
-		got := runAll(t, s, 5, 8, 3)
-		for i, toks := range got {
-			if len(toks) != 3 {
-				t.Errorf("%v: request %d got %d tokens, want 3", sched, i, len(toks))
-			}
-		}
-		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-		if err := s.Shutdown(ctx); err != nil {
-			t.Errorf("%v: shutdown: %v", sched, err)
-		}
-		cancel()
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if err := s.Shutdown(ctx); err != nil {
+		t.Errorf("shutdown: %v", err)
 	}
 }
 
@@ -266,14 +260,14 @@ func TestBackendFactoryError(t *testing.T) {
 	}
 }
 
-// TestShortestQueueSeesInflightPrompt pins ShortestQueue's score as
-// queued plus in-flight prompt tokens: with one of two workers wedged
-// mid-prefill on a long prompt, the next request goes to the idle
-// worker and completes while the busy one is still wedged.
-func TestShortestQueueSeesInflightPrompt(t *testing.T) {
+// TestIdleWorkerTakesNextRequest pins the shared admission queue: with
+// one of two workers wedged mid-prefill on a long prompt, the next
+// request is taken by the idle worker and completes while the busy one
+// is still wedged.
+func TestIdleWorkerTakesNextRequest(t *testing.T) {
 	entered, gate := make(chan struct{}), make(chan struct{})
 	s := newTestServer(t, Config{
-		PrefillWorkers: 2, MaxNewTokens: 2, Scheduler: sim.ShortestQueue,
+		PrefillWorkers: 2, MaxNewTokens: 2,
 		Backend: func(seed int64) (attention.Backend, error) {
 			if seed == 99 {
 				close(entered)

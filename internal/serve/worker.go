@@ -3,85 +3,20 @@ package serve
 import (
 	"context"
 	"errors"
-	"math"
-	"sync/atomic"
 	"time"
-
-	"github.com/hackkv/hack/internal/sim"
 )
 
-// prefillWorker is one prefill goroutine's admission queue plus the
-// load counters the router scores. queuedToks/queuedReqs count waiting
-// work; inflightToks is the prompt currently being prefilled (0 when
-// idle).
-type prefillWorker struct {
-	queue       chan *active
-	queuedToks  atomic.Int64
-	queuedReqs  atomic.Int64
-	inflightTok atomic.Int64
-}
-
-// route picks the prefill worker for an arriving prompt, mirroring the
-// simulator's placement policies (sim.pickPrefill): RoundRobin by
-// cursor, FewestRequests by queued request count, and ShortestQueue and
-// LoadAware/SLOAware by queued plus in-flight prompt tokens — the sim
-// counts a prompt as queued until its prefill finishes, so a busy
-// worker never ties with an idle one. (SLOAware's per-request
-// compression-class admission is a cost-model construct; at the numeric
-// runtime it routes like LoadAware.) Called with s.mu held.
-func (s *Server) route(promptLen int) *prefillWorker {
-	best := 0
-	switch s.cfg.Scheduler {
-	case sim.RoundRobin:
-		best = s.rr % len(s.workers)
-		s.rr++
-	case sim.FewestRequests:
-		bestN := int64(math.MaxInt64)
-		for i, w := range s.workers {
-			n := w.queuedReqs.Load()
-			if w.inflightTok.Load() > 0 {
-				n++
-			}
-			if n < bestN {
-				best, bestN = i, n
-			}
-		}
-	default: // ShortestQueue, LoadAware, SLOAware
-		bestScore := int64(math.MaxInt64)
-		for i, w := range s.workers {
-			score := w.queuedToks.Load() + w.inflightTok.Load()
-			if score < bestScore {
-				best, bestScore = i, score
-			}
-		}
-	}
-	return s.workers[best]
-}
-
-// queueDepth sums the waiting requests across all admission queues.
-func (s *Server) queueDepth() int {
-	var n int64
-	for _, w := range s.workers {
-		n += w.queuedReqs.Load()
-	}
-	return int(n)
-}
-
-// runPrefill drains one admission queue: for each request it builds the
-// per-request backend and session, runs the real prefill kernel over
-// the prompt, streams the first token, and hands the session to the
-// decode batcher. The loop exits when Shutdown closes the queue and the
-// remaining entries have drained.
-func (s *Server) runPrefill(w *prefillWorker) {
+// runPrefill is one prefill worker. Every worker pulls from the one
+// shared admission queue in arrival order, so an idle worker always
+// takes the next request and a busy one never holds work back. For each
+// request it builds the per-request backend and session, runs the real
+// prefill kernel over the prompt, streams the first token, and hands
+// the session to the decode batcher. The loop exits when Shutdown
+// closes the queue and the remaining entries have drained.
+func (s *Server) runPrefill() {
 	defer s.prefillWG.Done()
-	for a := range w.queue {
-		// Mark the prompt in flight before taking it off the queue
-		// counters, so route always sees it in one of them.
-		w.inflightTok.Store(int64(len(a.req.Prompt)))
-		w.queuedReqs.Add(-1)
-		w.queuedToks.Add(-int64(len(a.req.Prompt)))
+	for a := range s.queue {
 		s.prefillOne(a)
-		w.inflightTok.Store(0)
 	}
 }
 

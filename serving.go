@@ -31,8 +31,8 @@ type (
 
 // Live-serving sentinel errors.
 var (
-	// ErrQueueFull load-sheds a submission whose routed admission queue
-	// is at capacity.
+	// ErrQueueFull load-sheds a submission that finds the admission
+	// queue at capacity.
 	ErrQueueFull = serve.ErrQueueFull
 	// ErrDraining rejects submissions once shutdown has begun.
 	ErrDraining = serve.ErrDraining
@@ -54,8 +54,9 @@ type ServeConfig struct {
 	PrefillWorkers int
 	// MaxBatch caps the continuous decode batch (default 8).
 	MaxBatch int
-	// QueueCap bounds each prefill worker's admission queue; full
-	// queues load-shed with ErrQueueFull (default 64).
+	// QueueCap is the admission slots per prefill worker: the one
+	// shared queue holds PrefillWorkers × QueueCap requests, and a full
+	// queue load-sheds with ErrQueueFull (default 64).
 	QueueCap int
 	// MaxNewTokens caps tokens generated per request (default 32).
 	MaxNewTokens int
@@ -100,16 +101,16 @@ func WithPrefixCache(budgetBytes int64) Option {
 
 // Server is the live serving runtime started by Engine.Listen: a
 // continuous-batching scheduler driving the real quantized kernels,
-// with bounded admission queues routed by the engine's scheduler
-// policy.
+// fed by one bounded admission queue that every prefill worker pulls
+// from in arrival order.
 type Server struct {
 	rt *serve.Server
 }
 
 // Listen starts the live serving runtime for this deployment: requests
-// submitted to the returned Server are routed across prefill workers by
-// the engine's scheduler policy, prefilled through the real numeric
-// transformer, and decoded by a continuous-batching loop running the
+// submitted to the returned Server wait in one FIFO admission queue,
+// are taken by the next free prefill worker, prefilled through the real
+// numeric transformer, and decoded by a continuous-batching loop running the
 // engine method's kernels (homomorphic HACK kernels for HACK-family
 // methods; see WithServeConfig for sizing). Cancelling ctx force-drains
 // the server in the background; call Shutdown for a graceful drain.
@@ -141,7 +142,6 @@ func (e *Engine) runtimeConfig() serve.Config {
 		Spec:              sc.Model,
 		ModelSeed:         sc.ModelSeed,
 		Backend:           serve.BackendForMethod(e.method, e.kernelPar),
-		Scheduler:         e.scheduler,
 		PrefillWorkers:    sc.PrefillWorkers,
 		MaxBatch:          sc.MaxBatch,
 		QueueCap:          sc.QueueCap,
@@ -152,7 +152,7 @@ func (e *Engine) runtimeConfig() serve.Config {
 }
 
 // Submit admits one generation request and returns its token stream.
-// Full queues load-shed with ErrQueueFull; a draining server rejects
+// A full admission queue load-sheds with ErrQueueFull; a draining server rejects
 // with ErrDraining; cancelling ctx stops the request's stream.
 func (s *Server) Submit(ctx context.Context, req GenRequest) (*GenStream, error) {
 	st, err := s.rt.Submit(ctx, req)
