@@ -210,9 +210,13 @@
 //	scores, ops := hack.MatMulTransB(qq, kq, hack.DefaultMatMulOptions())
 //
 // The kernels are packed, tiled, SIMD-accelerated (AVX2 where the CPU
-// has it) and tile-parallel, yet bit-identical to the retained scalar
+// has it) and column-parallel, yet bit-identical to the retained scalar
 // references MatMulScalar / MatMulTransBScalar at every setting of
 // MatMulOptions.Parallelism (0 = one worker per CPU, 1 = serial).
+// Prefill fans out one level up: every attention backend cuts a prompt
+// longer than 64 tokens into 64-row query tiles that run on up to one
+// worker per CPU, each with serial kernels, and its output is
+// bit-identical at any worker count.
 // MatMulInto / MatMulTransBInto and QuantizeInto reuse caller-supplied
 // storage so per-token serving loops run allocation-free; see the
 // README's Performance section and cmd/kernelbench (BENCH_kernels.json)

@@ -371,12 +371,15 @@ func WithStream(fn func(RequestStats)) Option {
 	}
 }
 
-// WithKernelParallelism bounds the worker goroutines the homomorphic
-// numeric kernels may use per multiplication for toolkit components
-// derived from this engine (see Engine.HACKAttentionConfig and
-// MatMulOptions.Parallelism): 0 sizes like the sweep pool (one worker
-// per CPU), 1 forces the serial path. Numeric outputs are bit-identical
-// at every setting; only throughput changes.
+// WithKernelParallelism bounds the worker goroutines HACK attention may
+// use, in the served runtime and in toolkit components derived from
+// this engine (see Engine.HACKAttentionConfig): 0 sizes like the sweep
+// pool (one worker per CPU), 1 forces the serial path. A prefill longer
+// than 64 tokens fans out over 64-row query tiles, each running its
+// kernels serially; a decode step or a shorter prefill passes the bound
+// to its homomorphic products, which split their output columns
+// (MatMulOptions.Parallelism). Numeric outputs are bit-identical at
+// every setting; only throughput changes.
 func WithKernelParallelism(n int) Option {
 	return func(e *Engine) error {
 		if n < 0 {

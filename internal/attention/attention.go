@@ -25,6 +25,13 @@
 // it without scanning them, and P·V stops each row at its last live
 // block. All of it is exact: outputs are bit-identical to computing the
 // full matrix and masking it, and Stats count the work actually done.
+//
+// Prefill is where attention fans out: every backend cuts a prompt
+// longer than 64 tokens into 64-row query tiles (prefillTiles) that run
+// on up to one worker per CPU, each on its own pooled scratch with
+// serial kernels. Every step is row-local and every quantizer draw is
+// keyed by absolute position, so outputs and Stats are bit-identical at
+// any worker count.
 package attention
 
 import (
@@ -54,7 +61,9 @@ type Stats struct {
 	DequantOps int64
 	// ApproxOps counts Eq. (4) approximation work (HACK only).
 	ApproxOps int64
-	// SumOps counts Σb′ recomputation work (HACK without SE only).
+	// SumOps counts Σb′ recomputation work (HACK without SE only). Each
+	// product recomputes the sums over its whole operand, so a tiled
+	// prefill pays it once per 64-row tile.
 	SumOps int64
 	// RequantOps counts V-tail requantization work (HACK without RQE).
 	RequantOps int64
@@ -117,15 +126,24 @@ func scaledScoresInto(dst, q, k *tensor.Matrix) *tensor.Matrix {
 	return tensor.MatMulTransBInto(dst, q, k).Scale(scoreScale(q.Cols))
 }
 
-// causalProbsInto computes the causal attention probabilities of a
-// prefill in float32 into dst: the scores q·kᵀ, then each row's live
-// prefix scaled and softmaxed (the query rows are k's last q.Rows
-// positions). It returns the probabilities and the live cell count.
-func causalProbsInto(dst, q, k *tensor.Matrix) (*tensor.Matrix, int64) {
-	offset := k.Rows - q.Rows
-	s := tensor.CausalSoftmax(tensor.MatMulTransBInto(dst, q, k), offset, scoreScale(q.Cols))
-	return s, liveCells(s.Rows, offset, s.Cols, 1)
+// floatTile is the float backends' prefill body (attendTile) against the
+// key and value rows k and v: the scores q·kᵀ, each row's live prefix
+// scaled and softmaxed, then P·V into out. round rounds the query rows
+// through FP16 first, for the backends that compute on FP16 values.
+func floatTile(sc *scratch, q, out, k, v *tensor.Matrix, off int, round bool) Stats {
+	if round {
+		q = sc.qr.CopyInto(q)
+		fp16.RoundSlice(q.Data)
+	}
+	s := tensor.CausalSoftmax(tensor.MatMulTransBInto(&sc.s, q, k), off, scoreScale(q.Cols))
+	live := liveCells(s.Rows, off, s.Cols, 1)
+	tensor.MatMulInto(out, s, v)
+	return Stats{FloatOps: floatPrefillOps(q, s, live)}
 }
+
+// floatWorkers is the tile fan-out of the float backends, which have no
+// parallelism knob: one worker per CPU.
+func floatWorkers() int { return hack.Workers(0) }
 
 // liveCells counts the causal live cells of a rows×cols score matrix
 // whose row i attends columns 0..i+offset (all of them when offset < 0),
@@ -167,34 +185,36 @@ func (ExactBackend) NewHead(headDim int) (Head, error) {
 	if headDim <= 0 {
 		return nil, fmt.Errorf("attention: head dim %d", headDim)
 	}
-	return &exactHead{k: tensor.New(0, headDim), v: tensor.New(0, headDim),
-		s: &tensor.Matrix{}, out: &tensor.Matrix{}}, nil
+	return &exactHead{k: tensor.New(0, headDim), v: tensor.New(0, headDim)}, nil
 }
 
 type exactHead struct {
 	k, v *tensor.Matrix
-	// s and out are the per-call score and output buffers, reused across
-	// calls so the decode loop stops allocating (see Head).
-	s, out *tensor.Matrix
+	// sc and out are the per-call working and output buffers, reused
+	// across calls so the decode loop stops allocating (see Head).
+	sc  scratch
+	out tensor.Matrix
 }
 
 func (h *exactHead) Prefill(q, k, v *tensor.Matrix) (*tensor.Matrix, Stats, error) {
-	var st Stats
 	h.k = tensor.AppendRows(h.k, k)
 	h.v = tensor.AppendRows(h.v, v)
-	s, live := causalProbsInto(h.s, q, h.k)
-	out := tensor.MatMulInto(h.out, s, h.v)
-	st.FloatOps = floatPrefillOps(q, s, live)
-	return out, st, nil
+	out := h.out.Reset(q.Rows, q.Cols)
+	st, err := prefillTiles(h, &h.sc, q, out, h.k.Rows-q.Rows, floatWorkers(), 0)
+	return out, st, err
+}
+
+func (h *exactHead) attendTile(sc *scratch, q, out *tensor.Matrix, off, _ int) (Stats, error) {
+	return floatTile(sc, q, out, h.k, h.v, off, false), nil
 }
 
 func (h *exactHead) Decode(q, k, v *tensor.Matrix) (*tensor.Matrix, Stats, error) {
 	var st Stats
 	h.k = tensor.AppendRows(h.k, k)
 	h.v = tensor.AppendRows(h.v, v)
-	s := scaledScoresInto(h.s, q, h.k)
+	s := scaledScoresInto(&h.sc.s, q, h.k)
 	tensor.Softmax(s)
-	out := tensor.MatMulInto(h.out, s, h.v)
+	out := tensor.MatMulInto(&h.out, s, h.v)
 	st.FloatOps = 4*int64(q.Cols)*int64(h.k.Rows) + softmaxOps(int64(s.Cols))
 	st.KVBytesRead = 4 * int64(len(h.k.Data)+len(h.v.Data))
 	return out, st, nil
@@ -223,27 +243,27 @@ func (FP16Backend) NewHead(headDim int) (Head, error) {
 	if headDim <= 0 {
 		return nil, fmt.Errorf("attention: head dim %d", headDim)
 	}
-	return &fp16Head{c: kvcache.NewFP16(headDim),
-		qr: &tensor.Matrix{}, s: &tensor.Matrix{}, out: &tensor.Matrix{}}, nil
+	return &fp16Head{c: kvcache.NewFP16(headDim)}, nil
 }
 
 type fp16Head struct {
 	c *kvcache.FP16Cache
-	// qr/s/out are reused per-call buffers (see Head).
-	qr, s, out *tensor.Matrix
+	// sc and out are reused per-call buffers (see Head).
+	sc  scratch
+	out tensor.Matrix
 }
 
 func (h *fp16Head) Prefill(q, k, v *tensor.Matrix) (*tensor.Matrix, Stats, error) {
-	var st Stats
 	if err := h.c.Append(k, v); err != nil {
-		return nil, st, err
+		return nil, Stats{}, err
 	}
-	qr := h.qr.CopyInto(q)
-	fp16.RoundSlice(qr.Data)
-	s, live := causalProbsInto(h.s, qr, h.c.K)
-	out := tensor.MatMulInto(h.out, s, h.c.V)
-	st.FloatOps = floatPrefillOps(q, s, live)
-	return out, st, nil
+	out := h.out.Reset(q.Rows, q.Cols)
+	st, err := prefillTiles(h, &h.sc, q, out, h.c.Len()-q.Rows, floatWorkers(), 0)
+	return out, st, err
+}
+
+func (h *fp16Head) attendTile(sc *scratch, q, out *tensor.Matrix, off, _ int) (Stats, error) {
+	return floatTile(sc, q, out, h.c.K, h.c.V, off, true), nil
 }
 
 func (h *fp16Head) Decode(q, k, v *tensor.Matrix) (*tensor.Matrix, Stats, error) {
@@ -251,11 +271,11 @@ func (h *fp16Head) Decode(q, k, v *tensor.Matrix) (*tensor.Matrix, Stats, error)
 	if err := h.c.Append(k, v); err != nil {
 		return nil, st, err
 	}
-	qr := h.qr.CopyInto(q)
+	qr := h.sc.qr.CopyInto(q)
 	fp16.RoundSlice(qr.Data)
-	s := scaledScoresInto(h.s, qr, h.c.K)
+	s := scaledScoresInto(&h.sc.s, qr, h.c.K)
 	tensor.Softmax(s)
-	out := tensor.MatMulInto(h.out, s, h.c.V)
+	out := tensor.MatMulInto(&h.out, s, h.c.V)
 	st.FloatOps = 4*int64(q.Cols)*int64(h.c.Len()) + softmaxOps(int64(s.Cols))
 	st.KVBytesRead = int64(h.c.Usage().Total())
 	return out, st, nil
@@ -319,18 +339,18 @@ func (b *DequantBackend) NewHead(headDim int) (Head, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &dequantHead{cfg: b.cfg, c: c,
-		qr: &tensor.Matrix{}, dk: &tensor.Matrix{}, dv: &tensor.Matrix{},
-		s: &tensor.Matrix{}, out: &tensor.Matrix{}}, nil
+	return &dequantHead{cfg: b.cfg, c: c}, nil
 }
 
 type dequantHead struct {
 	cfg DequantConfig
 	c   *kvcache.TokenQuantCache
-	// qr/dk/dv/s/out are reused per-call buffers: the defining per-step
+	// dk/dv/sc/out are reused per-call buffers: the defining per-step
 	// dequantization lands in dk/dv instead of fresh matrices, so its
 	// cost is the compute, not the allocator (see Head).
-	qr, dk, dv, s, out *tensor.Matrix
+	dk, dv tensor.Matrix
+	sc     scratch
+	out    tensor.Matrix
 }
 
 func (h *dequantHead) Prefill(q, k, v *tensor.Matrix) (*tensor.Matrix, Stats, error) {
@@ -339,14 +359,17 @@ func (h *dequantHead) Prefill(q, k, v *tensor.Matrix) (*tensor.Matrix, Stats, er
 		return nil, st, err
 	}
 	st.QuantOps = 2 * int64(k.Rows) * int64(k.Cols) * 2
-	dk, dv := h.c.DequantizeKVInto(h.dk, h.dv)
+	// Dequantized once; every tile reads the same dk and dv.
+	dk, _ := h.c.DequantizeKVInto(&h.dk, &h.dv)
 	st.DequantOps = 4 * int64(dk.Rows) * int64(dk.Cols)
-	qr := h.qr.CopyInto(q)
-	fp16.RoundSlice(qr.Data)
-	s, live := causalProbsInto(h.s, qr, dk)
-	out := tensor.MatMulInto(h.out, s, dv)
-	st.FloatOps = floatPrefillOps(q, s, live)
-	return out, st, nil
+	out := h.out.Reset(q.Rows, q.Cols)
+	ts, err := prefillTiles(h, &h.sc, q, out, dk.Rows-q.Rows, floatWorkers(), 0)
+	st.Add(ts)
+	return out, st, err
+}
+
+func (h *dequantHead) attendTile(sc *scratch, q, out *tensor.Matrix, off, _ int) (Stats, error) {
+	return floatTile(sc, q, out, &h.dk, &h.dv, off, true), nil
 }
 
 func (h *dequantHead) Decode(q, k, v *tensor.Matrix) (*tensor.Matrix, Stats, error) {
@@ -356,13 +379,13 @@ func (h *dequantHead) Decode(q, k, v *tensor.Matrix) (*tensor.Matrix, Stats, err
 	}
 	st.QuantOps = 2 * int64(k.Cols) * 2
 	// The defining cost: the whole cache is dequantized every step.
-	dk, dv := h.c.DequantizeKVInto(h.dk, h.dv)
+	dk, dv := h.c.DequantizeKVInto(&h.dk, &h.dv)
 	st.DequantOps = 4 * int64(dk.Rows) * int64(dk.Cols)
-	qr := h.qr.CopyInto(q)
+	qr := h.sc.qr.CopyInto(q)
 	fp16.RoundSlice(qr.Data)
-	s := scaledScoresInto(h.s, qr, dk)
+	s := scaledScoresInto(&h.sc.s, qr, dk)
 	tensor.Softmax(s)
-	out := tensor.MatMulInto(h.out, s, dv)
+	out := tensor.MatMulInto(&h.out, s, dv)
 	st.FloatOps = 4*int64(q.Cols)*int64(dk.Rows) + softmaxOps(int64(s.Cols))
 	st.KVBytesRead = int64(h.c.Usage().Total())
 	return out, st, nil
@@ -401,10 +424,13 @@ type HACKConfig struct {
 	Seed     int64
 	// NameOverride replaces the derived method name when non-empty.
 	NameOverride string
-	// Parallelism bounds the worker goroutines the homomorphic kernels
-	// may fan out per multiplication (hack.Options.Parallelism): 0 sizes
-	// like the sweep pool, 1 forces serial. Outputs are bit-identical at
-	// every setting.
+	// Parallelism bounds the worker goroutines one call may use
+	// (resolved by hack.Workers): 0 is one per CPU, 1 forces serial. A
+	// prefill of more than 64 query rows fans out over 64-row tiles and
+	// runs each tile's kernels serially; a decode step or a shorter
+	// prefill passes the bound to its homomorphic products, which split
+	// their output columns (hack.Options.Parallelism). Outputs and Stats
+	// are bit-identical at every setting.
 	Parallelism int
 }
 
@@ -472,9 +498,7 @@ func (b *HACKBackend) newHead(headDim int, build func(kvcache.Config) (*kvcache.
 	if err != nil {
 		return nil, err
 	}
-	return &hackHead{cfg: b.cfg, c: c, keys: keys,
-		s: &tensor.Matrix{}, pvOut: &tensor.Matrix{},
-		pTail: &tensor.Matrix{}, tailOut: &tensor.Matrix{}, out: &tensor.Matrix{}}, nil
+	return &hackHead{cfg: b.cfg, c: c, keys: keys}, nil
 }
 
 // NewHead implements Backend.
@@ -504,14 +528,13 @@ type hackHead struct {
 	c    *kvcache.Cache
 	keys quant.Keys
 
-	// Per-call scratch, reused across calls so a decode step allocates
-	// nothing at steady state (see Head): the quantized Q and P tensors,
-	// the score matrix, the FP16-tail slice of P, the partial products,
-	// and the output accumulator.
-	qq, pq       *quant.Tensor
-	s            *tensor.Matrix
-	pvOut, pTail *tensor.Matrix
-	tailOut, out *tensor.Matrix
+	// sc and out are the per-call working and output buffers, reused
+	// across calls so a decode step allocates nothing at steady state
+	// (see Head). tail is the V tail the current call multiplies, fetched
+	// once before any tile reads it.
+	sc   scratch
+	out  tensor.Matrix
+	tail *tensor.Matrix
 }
 
 // qCfg is the Q/P quantizer configuration for rows starting at absolute
@@ -520,29 +543,37 @@ func (h *hackHead) qCfg(key uint64, row0 int) quant.Config {
 	return quant.Config{Bits: h.cfg.QBits, Partition: h.cfg.Pi, Rounding: h.cfg.Rounding, Key: key, Row0: row0}
 }
 
-func (h *hackHead) opts() hack.Options {
-	return hack.Options{ReuseSums: h.cfg.SummationElimination, Parallelism: h.cfg.Parallelism}
+// fetchTail fixes the V tail this call multiplies. The RQE ablation
+// dequantizes its quantized partial block to form it, once per call,
+// whatever the number of tiles that read it.
+func (h *hackHead) fetchTail(dh int, st *Stats) {
+	h.tail = h.c.TailMatrix()
+	if h.tail.Rows > 0 && !h.cfg.RequantizationElimination {
+		st.RequantOps += 2 * int64(h.tail.Rows) * int64(dh)
+	}
 }
 
-// attend computes softmax(q·Kᵀ/√d)·V against the cache for the given
-// query rows — the cache's most recently appended tokens. maskOffset >= 0
-// is a prefill: query row i attends key positions 0..i+maskOffset, and
-// every product, the softmax and the P quantizer cover that live
-// triangle only. maskOffset < 0 is a decode step, which attends to
-// everything through the same kernels.
-func (h *hackHead) attend(q *tensor.Matrix, maskOffset int, st *Stats) (*tensor.Matrix, error) {
+// attend computes softmax(q·Kᵀ/√d)·V against the cache into out for the
+// given query rows, the first of which is absolute position row0.
+// maskOffset >= 0 is a prefill block: query row i attends key positions
+// 0..i+maskOffset, and every product, the softmax and the P quantizer
+// cover that live triangle only. maskOffset < 0 is a decode step, which
+// attends to everything through the same kernels. par is the
+// homomorphic products' Parallelism.
+func (h *hackHead) attend(sc *scratch, q, out *tensor.Matrix, row0, maskOffset, par int) (Stats, error) {
+	var st Stats
 	dh := q.Cols
-	row0 := h.c.Len() - q.Rows
-	qq, err := quant.QuantizeInto(h.qq, q, quant.AlongCols, h.qCfg(h.keys.Q, row0))
+	opts := hack.Options{ReuseSums: h.cfg.SummationElimination, Parallelism: par}
+	qq, err := quant.QuantizeInto(sc.qq, q, quant.AlongCols, h.qCfg(h.keys.Q, row0))
 	if err != nil {
-		return nil, err
+		return st, err
 	}
-	h.qq = qq
+	sc.qq = qq
 	st.QuantOps += 2 * int64(q.Rows) * int64(dh)
 
 	// ① homomorphic Q·Kᵀ on quantized data, live columns only.
-	s := h.s
-	st.addOps(hack.CausalMatMulTransBInto(s, qq, h.c.K, maskOffset, h.opts()))
+	s := &sc.s
+	st.addOps(hack.CausalMatMulTransBInto(s, qq, h.c.K, maskOffset, opts))
 	tensor.CausalSoftmax(s, maskOffset, scoreScale(dh))
 	live := liveCells(s.Rows, maskOffset, s.Cols, 1)
 	st.FloatOps += live + softmaxOps(live) // scale + softmax
@@ -550,34 +581,35 @@ func (h *hackHead) attend(q *tensor.Matrix, maskOffset int, st *Stats) (*tensor.
 	// ② homomorphic P·V: quantized part against VFull, FP16 (or
 	// requantized) tail separately.
 	nFull := h.c.VFull.Rows
-	out := h.out.Reset(q.Rows, dh)
+	clear(out.Data)
 	liveFull := int64(0)
 	if nFull > 0 {
 		// P row i is query position row0+i and its columns are key
-		// positions, so no draw depends on the prompt's length. The
-		// quantizer reads P's first nFull columns in place.
-		pq, err := quant.QuantizeCausalInto(h.pq, s, nFull, maskOffset, h.qCfg(h.keys.P, row0))
+		// positions, so no draw depends on the prompt's length or on
+		// the tile the row falls in. The quantizer reads P's first
+		// nFull columns in place.
+		pq, err := quant.QuantizeCausalInto(sc.pq, s, nFull, maskOffset, h.qCfg(h.keys.P, row0))
 		if err != nil {
-			return nil, err
+			return st, err
 		}
-		h.pq = pq
+		sc.pq = pq
 		st.QuantOps += 2 * liveCells(s.Rows, maskOffset, nFull, h.cfg.Pi)
 		liveFull = liveCells(s.Rows, maskOffset, nFull, 1)
-		st.addOps(hack.CausalMatMulInto(h.pvOut, pq, h.c.VFull, maskOffset, h.opts()))
-		out.Add(h.pvOut)
+		st.addOps(hack.CausalMatMulInto(&sc.pvOut, pq, h.c.VFull, maskOffset, opts))
+		out.Add(&sc.pvOut)
 	}
-	tail := h.c.TailMatrix()
-	if tail.Rows > 0 {
-		pTail := s.SliceColsInto(h.pTail, nFull, nFull+tail.Rows)
-		out.Add(tensor.MatMulInto(h.tailOut, pTail, tail))
+	if tail := h.tail; tail.Rows > 0 {
+		pTail := s.SliceColsInto(&sc.pTail, nFull, nFull+tail.Rows)
+		out.Add(tensor.MatMulInto(&sc.tailOut, pTail, tail))
 		st.FloatOps += 2 * (live - liveFull) * int64(dh)
-		if !h.cfg.RequantizationElimination {
-			// The ablation pays a dequantization of the partial block
-			// to form the matrix we just multiplied.
-			st.RequantOps += 2 * int64(tail.Rows) * int64(dh)
-		}
 	}
-	return out, nil
+	return st, nil
+}
+
+// attendTile implements tileAttender: a prefill block's query rows are
+// its newest keys, so the block's first row is absolute position off.
+func (h *hackHead) attendTile(sc *scratch, q, out *tensor.Matrix, off, kernelPar int) (Stats, error) {
+	return h.attend(sc, q, out, off, off, kernelPar)
 }
 
 // addOps folds a homomorphic product's op tally into s.
@@ -589,7 +621,9 @@ func (s *Stats) addOps(ops hack.Ops) {
 
 // Prefill implements Head. On a head restored over cached tokens it
 // continues the prefill: q/k/v are the rows that follow them, and the
-// causal mask lets query row i attend positions up to cached+i.
+// causal mask lets query row i attend positions up to cached+i. The
+// query rows fan out in tiles (prefillTiles) over the workers
+// HACKConfig.Parallelism allows.
 func (h *hackHead) Prefill(q, k, v *tensor.Matrix) (*tensor.Matrix, Stats, error) {
 	var st Stats
 	if err := h.c.AppendPrefill(k, v); err != nil {
@@ -597,9 +631,15 @@ func (h *hackHead) Prefill(q, k, v *tensor.Matrix) (*tensor.Matrix, Stats, error
 	}
 	st.QuantOps += 2 * 2 * int64(k.Rows) * int64(k.Cols) // K and V quantization
 	before := h.c.RequantOps
-	out, err := h.attend(q, h.c.Len()-q.Rows, &st)
+	h.fetchTail(q.Cols, &st)
+	out := h.out.Reset(q.Rows, q.Cols)
+	ts, err := prefillTiles(h, &h.sc, q, out, h.c.Len()-q.Rows, hack.Workers(h.cfg.Parallelism), h.cfg.Parallelism)
+	st.Add(ts)
 	st.RequantOps += h.c.RequantOps - before
-	return out, st, err
+	if err != nil {
+		return nil, st, err
+	}
+	return out, st, nil
 }
 
 func (h *hackHead) Decode(q, k, v *tensor.Matrix) (*tensor.Matrix, Stats, error) {
@@ -609,10 +649,16 @@ func (h *hackHead) Decode(q, k, v *tensor.Matrix) (*tensor.Matrix, Stats, error)
 		return nil, st, err
 	}
 	st.QuantOps += 2 * 2 * int64(k.Cols)
-	out, err := h.attend(q, -1, &st)
+	h.fetchTail(q.Cols, &st)
+	out := h.out.Reset(q.Rows, q.Cols)
+	ts, err := h.attend(&h.sc, q, out, h.c.Len()-q.Rows, -1, h.cfg.Parallelism)
+	st.Add(ts)
 	st.RequantOps += h.c.RequantOps - before
 	st.KVBytesRead = int64(h.c.Usage().Total())
-	return out, st, err
+	if err != nil {
+		return nil, st, err
+	}
+	return out, st, nil
 }
 
 func (h *hackHead) Len() int                  { return h.c.Len() }

@@ -21,8 +21,9 @@
 // per-column panels (fixing the column-strided walk), the per-block
 // (min, scale, Σ) metadata is gathered into block-major arrays, the i/j
 // loops are tiled for cache reuse, the uint8×uint8→int32 dot product is
-// unrolled eight wide, and independent output tiles run in parallel on a
-// bounded worker pool sized like the sweep pool (Options.Parallelism).
+// unrolled eight wide, and independent output column ranges run in
+// parallel on a bounded worker pool sized like the sweep pool
+// (Options.Parallelism).
 // Because every output element still accumulates its per-block terms in
 // the same order with the same float expression, the fast kernels are
 // bit-identical to the scalar reference at every parallelism level — the
@@ -50,11 +51,13 @@ type Options struct {
 	// recomputed from the codes on every call and charged to Ops.
 	ReuseSums bool
 	// Parallelism bounds the worker goroutines one multiplication may
-	// fan out across output tiles: 0 picks one worker per CPU (the same
-	// sizing as the sweep pool), 1 — or any negative value — forces the
-	// serial path, and n > 1 caps the fan-out at n. Small products
-	// always run serially, and the result is bit-identical at every
-	// setting.
+	// fan out across its output columns: 0 picks one worker per CPU (the
+	// same sizing as the sweep pool), 1 — or any negative value — forces
+	// the serial path, and n > 1 caps the fan-out at n (see Workers).
+	// Small products always run serially, and the result is
+	// bit-identical at every setting. A product never splits its rows:
+	// attention's prefill fans out over query-row tiles instead and
+	// calls each tile's products with Parallelism 1.
 	Parallelism int
 }
 
@@ -98,16 +101,14 @@ type kernelScratch struct {
 	mb, sb, bs []float32 // block-major min / scale / Σ-as-float32 of B
 	sums       []int32   // recomputed Σ b′ for the no-SE ablation
 	accs       []int32   // per-column integer accumulators (sweep kernel)
-	cuts       []int     // row-split boundaries of a parallel product
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(kernelScratch) }}
 
-// workersFor resolves the Parallelism knob against the work size.
-func workersFor(parallelism int, m, z, n int) int {
-	if int64(m)*int64(z)*int64(n) < parallelMinMACs {
-		return 1
-	}
+// Workers resolves a Parallelism knob (Options.Parallelism) to a worker
+// count: 0 is one worker per CPU (the sweep pool's sizing), 1 or any
+// negative value is 1, and n > 1 is n capped at the CPU count.
+func Workers(parallelism int) int {
 	if parallelism == 1 || parallelism < 0 {
 		return 1 // explicit serial; negative is treated as "no fan-out"
 	}
@@ -116,6 +117,14 @@ func workersFor(parallelism int, m, z, n int) int {
 		w = parallelism
 	}
 	return w
+}
+
+// workersFor resolves the Parallelism knob against the work size.
+func workersFor(parallelism int, m, z, n int) int {
+	if int64(m)*int64(z)*int64(n) < parallelMinMACs {
+		return 1
+	}
+	return Workers(parallelism)
 }
 
 // maddMode selects the dot-product implementation for one multiplication.
@@ -278,10 +287,10 @@ func sweepRows(dst *tensor.Matrix, a, b *quant.Tensor, ks *kernelScratch, bSums 
 				mb, sb := b.Min[j*nb+g], b.Scale[j*nb+g]
 				bSum := float32(bSums[j*nb+g])
 				// Eq. (4) correction terms, scalar expression and order.
-				oRow[j] += sa*sb*float32(accs[j]) +
-					mb*sa*aSum +
-					ma*sb*bSum +
-					blockLen*ma*mb
+				oRow[j] += float32(sa*sb*float32(accs[j])) +
+					float32(mb*sa*aSum) +
+					float32(ma*sb*bSum) +
+					float32(blockLen*ma*mb)
 			}
 		}
 	}
@@ -473,30 +482,6 @@ func (mk mask) count(ops *Ops, pi, m, z, n int) {
 	}
 }
 
-// rowCuts splits rows [0, m) into w contiguous ranges of near-equal live
-// work (cells × partitions), so a causal product's triangle does not
-// leave the workers holding its short rows idle. cuts[k] is range k's
-// first row; cuts[w] = m.
-func (mk mask) rowCuts(cuts []int, w, pi, m, z, n int) []int {
-	cost := func(i int) int64 { return int64(mk.cols(i, n)) * int64(mk.blocks(i, pi, z)) }
-	var total int64
-	for i := 0; i < m; i++ {
-		total += cost(i)
-	}
-	cuts = append(cuts[:0], 0)
-	var acc int64
-	for i := 0; i < m && len(cuts) < w; i++ {
-		acc += cost(i)
-		if acc*int64(w) >= total*int64(len(cuts)) {
-			cuts = append(cuts, i+1)
-		}
-	}
-	for len(cuts) <= w {
-		cuts = append(cuts, m)
-	}
-	return cuts
-}
-
 // runTiles executes the shared kernel body over output tiles. bCodes
 // holds B with per-output-column contiguous inner runs (bCodes[j·z+k]),
 // bMin/bScale/bSums its vector-major metadata. Two inner kernels exist:
@@ -507,9 +492,10 @@ func (mk mask) rowCuts(cuts []int, w, pi, m, z, n int) []int {
 // handles everything else.
 // Both accumulate each output element's per-block terms in ascending
 // block order with the scalar kernel's exact float expression, so any
-// tiling and either kernel is bit-identical to the reference. Row-split
-// fan-out cuts the rows by live work, so a causal triangle spreads
-// evenly across the workers.
+// tiling and either kernel is bit-identical to the reference. A fanned-out
+// product splits its output columns across the workers; rows are not
+// split here, because a prefill already tiles its query rows
+// (attention's prefill tiler) and calls each tile's products serially.
 func runTiles(dst *tensor.Matrix, a *quant.Tensor, ks *kernelScratch, bCodes []uint8,
 	bMin, bScale []float32, bSums []int32, bBits int, opt Options, mk mask, m, z, n int) {
 	nb := a.NBlocks
@@ -529,20 +515,13 @@ func runTiles(dst *tensor.Matrix, a *quant.Tensor, ks *kernelScratch, bCodes []u
 		}
 		return
 	}
-	tile := func(rlo, rhi, clo, chi int) {
+	sweeprun.ParallelFor(n, workers, func(clo, chi int) {
 		if blocked {
-			blockedTile(dst, a, bCodes, bMin, bScale, bSums, mode, mk, rlo, rhi, clo, chi)
+			blockedTile(dst, a, bCodes, bMin, bScale, bSums, mode, mk, 0, m, clo, chi)
 		} else {
-			genericTile(dst, a, ks, bCodes, mode, mk, rlo, rhi, clo, chi)
+			genericTile(dst, a, ks, bCodes, mode, mk, 0, m, clo, chi)
 		}
-	}
-	if m >= workers {
-		cuts := mk.rowCuts(ks.cuts, workers, a.Pi, m, z, n)
-		ks.cuts = cuts
-		sweeprun.ParallelFor(workers, workers, func(lo, hi int) { tile(cuts[lo], cuts[hi], 0, n) })
-	} else {
-		sweeprun.ParallelFor(n, workers, func(clo, chi int) { tile(0, m, clo, chi) })
-	}
+	})
 }
 
 // blockedLen is the length of every partition of a row of a when they are
@@ -567,7 +546,7 @@ func blockedTile(dst *tensor.Matrix, a *quant.Tensor, bCodes []uint8,
 	onePart := nb == 1 && mode == maddBSigned
 	if rhi-rlo > 1 && rhi-rlo <= verifyRowsMax && !onePart {
 		// Multi-row shape: a handful of query rows against a long cache
-		// (a short prefill, or one worker's row-split tile). The rows are
+		// (a short prefill or resumed suffix). The rows are
 		// processed in register-blocked groups of eight, then four, then
 		// singles; each group sweeps the columns in buffered tiles
 		// (verifyTile) so every loaded cache row is scored against the
@@ -629,10 +608,10 @@ func blockedTile(dst *tensor.Matrix, a *quant.Tensor, bCodes []uint8,
 					bSum := float32(bSumJ[g])
 					// Eq. (4) correction terms, in the scalar kernel's exact
 					// expression and block order.
-					v += sa*sb*float32(accs[g*w+c]) +
-						mb*sa*aSum +
-						ma*sb*bSum +
-						blockLen*ma*mb
+					v += float32(sa*sb*float32(accs[g*w+c])) +
+						float32(mb*sa*aSum) +
+						float32(ma*sb*bSum) +
+						float32(blockLen*ma*mb)
 				}
 				oRow[jc] = v
 			}
@@ -742,10 +721,10 @@ func verifyTile(dst *tensor.Matrix, a *quant.Tensor, bCodes []uint8,
 				for r := 0; r < gw; r++ {
 					ma, sa := aMinR[r][g], aScaleR[r][g]
 					aSum := float32(aSumsR[r][g])
-					oRows[r][j] += sa*sb*float32(dots[r]) +
-						mb*sa*aSum +
-						ma*sb*bSum +
-						blockLen*ma*mb
+					oRows[r][j] += float32(sa*sb*float32(dots[r])) +
+						float32(mb*sa*aSum) +
+						float32(ma*sb*bSum) +
+						float32(blockLen*ma*mb)
 				}
 			}
 		}
@@ -791,10 +770,10 @@ func genericTile(dst *tensor.Matrix, a *quant.Tensor, ks *kernelScratch, bCodes 
 					acc := dot(mode, aRow, bCodes[j*z+lo:j*z+hi])
 					mb, sb, bSum := mbs[j], sbs[j], bss[j]
 					// Eq. (4) correction terms.
-					oRow[j] += sa*sb*float32(acc) +
-						mb*sa*aSum +
-						ma*sb*bSum +
-						blockLen*ma*mb
+					oRow[j] += float32(sa*sb*float32(acc)) +
+						float32(mb*sa*aSum) +
+						float32(ma*sb*bSum) +
+						float32(blockLen*ma*mb)
 				}
 			}
 		}

@@ -51,10 +51,10 @@ func MatMulScalar(a, b *quant.Tensor, opt Options) (*tensor.Matrix, Ops) {
 				}
 				bSum := float32(bSums[j*nb+g])
 				// Eq. (4) correction terms.
-				oRow[j] += sa*sb*float32(acc) +
-					mb*sa*aSum +
-					ma*sb*bSum +
-					blockLen*ma*mb
+				oRow[j] += float32(sa*sb*float32(acc)) +
+					float32(mb*sa*aSum) +
+					float32(ma*sb*bSum) +
+					float32(blockLen*ma*mb)
 			}
 		}
 		ops.IntMACs += 2 * int64(m) * int64(hi-lo) * int64(n)
@@ -101,10 +101,10 @@ func MatMulTransBScalar(a, bT *quant.Tensor, opt Options) (*tensor.Matrix, Ops) 
 					acc += int32(av) * int32(bRow[k])
 				}
 				bSum := float32(bSums[j*nb+g])
-				oRow[j] += sa*sb*float32(acc) +
-					mb*sa*aSum +
-					ma*sb*bSum +
-					blockLen*ma*mb
+				oRow[j] += float32(sa*sb*float32(acc)) +
+					float32(mb*sa*aSum) +
+					float32(ma*sb*bSum) +
+					float32(blockLen*ma*mb)
 			}
 		}
 		ops.IntMACs += 2 * int64(m) * int64(hi-lo) * int64(n)

@@ -75,7 +75,7 @@ func rmsNorm(x *tensor.Matrix) *tensor.Matrix {
 		row := out.Row(i)
 		var ss float64
 		for _, v := range row {
-			ss += float64(v) * float64(v)
+			ss += float64(float64(v) * float64(v))
 		}
 		inv := float32(1 / math.Sqrt(ss/float64(len(row))+1e-6))
 		for j := range row {

@@ -373,11 +373,11 @@ func (t *Tensor) DequantizeInto(dst *tensor.Matrix) *tensor.Matrix {
 				base := v * t.Cols
 				row := dst.Row(v)
 				for j := lo; j < hi; j++ {
-					row[j] = scale*float32(t.Codes[base+j]) + minV
+					row[j] = float32(scale*float32(t.Codes[base+j])) + minV
 				}
 			} else {
 				for i := lo; i < hi; i++ {
-					dst.Data[i*t.Cols+v] = scale*float32(t.Codes[i*t.Cols+v]) + minV
+					dst.Data[i*t.Cols+v] = float32(scale*float32(t.Codes[i*t.Cols+v])) + minV
 				}
 			}
 		}

@@ -210,7 +210,7 @@ func matMulRowFrom(o, arow []float32, b *Matrix, lo int) {
 		brow := b.Row(z)[lo:]
 		brow = brow[:len(o)]
 		for j, bv := range brow {
-			o[j] += av * bv
+			o[j] += float32(av * bv)
 		}
 	}
 }
@@ -235,7 +235,7 @@ func MatMulTransBInto(dst, a, b *Matrix) *Matrix {
 			brow := b.Row(j)
 			var acc float32
 			for z := range arow {
-				acc += arow[z] * brow[z]
+				acc += float32(arow[z] * brow[z])
 			}
 			orow[j] = acc
 		}
@@ -340,7 +340,7 @@ func RandNormal(rng *rand.Rand, rows, cols int, stddev float64) *Matrix {
 func RandUniform(rng *rand.Rand, rows, cols int, lo, hi float64) *Matrix {
 	m := New(rows, cols)
 	for i := range m.Data {
-		m.Data[i] = float32(lo + rng.Float64()*(hi-lo))
+		m.Data[i] = float32(lo + float64(rng.Float64()*(hi-lo)))
 	}
 	return m
 }
@@ -370,8 +370,8 @@ func RelFrobenius(a, b *Matrix) float64 {
 	var num, den float64
 	for i := range a.Data {
 		d := float64(a.Data[i] - b.Data[i])
-		num += d * d
-		den += float64(b.Data[i]) * float64(b.Data[i])
+		num += float64(d * d)
+		den += float64(float64(b.Data[i]) * float64(b.Data[i]))
 	}
 	if den == 0 {
 		if num == 0 {

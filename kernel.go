@@ -61,8 +61,9 @@ func QuantizeInto(t *Quantized, m *Matrix, axis QuantAxis, cfg QuantConfig) (*Qu
 
 // DefaultMatMulOptions enables every HACK optimization (summation
 // elimination on) with automatic kernel parallelism. Set
-// MatMulOptions.Parallelism to bound the per-multiplication worker
-// fan-out (1 = serial); results are bit-identical at every setting.
+// MatMulOptions.Parallelism to bound how many workers one
+// multiplication splits its output columns across (1 = serial); results
+// are bit-identical at every setting.
 func DefaultMatMulOptions() MatMulOptions { return hackcore.DefaultOptions() }
 
 // MatMul computes the homomorphic-quantized product of a (M×Z, quantized
