@@ -119,9 +119,10 @@
 // prefill node when one is full or draining, and places decodes with
 // load-aware placement
 // (pending KV bytes + in-flight, the simulator's LoadAware signals),
-// /healthz health polling, drain awareness, and retry/failover that
-// replays a buffered KV transfer on a fresh replica without
-// duplicating or dropping tokens:
+// /healthz health polling, drain awareness, and retry/failover. The
+// router relays and logs the KV frames: each is forwarded to the decode
+// replica as it lands, and a failover replays the log on a fresh
+// replica without duplicating or dropping tokens:
 //
 //	router, err := eng.ListenDisagg(ctx) // eng built with WithRole(hack.RoleRouter),
 //	                                     // WithPeers(prefills, decodes)
@@ -141,7 +142,7 @@
 // a typed checksum error and a missed per-frame deadline as a typed
 // wire timeout; both are link faults, so the router retries them —
 // under jittered exponential backoff, bounded by an attempt cap and a
-// wall-clock budget — replaying the buffered KV transfer on another
+// wall-clock budget — replaying the logged KV transfer on another
 // replica with token streams deduplicated by index. Repeated link
 // failures trip a per-replica circuit breaker (consecutive failures
 // open it; after a cooldown a half-open probe decides) that steers

@@ -15,12 +15,15 @@
 //     ("prefill" or "decode") only labels its handshake.
 //   - A Router drives prefill on the first prefill node that takes the
 //     job (moving on when one is unreachable, full or draining) and
-//     fronts N decode replicas with FlowKV-style load-aware placement
-//     (the same drain/pending-KV signals sim's schedulers score),
-//     tracks replica health via /healthz heartbeats and
-//     connection-level failures, removes draining replicas from
-//     placement, and retries an in-flight KV transfer on replica death
-//     with bounded backoff.
+//     relays and logs the KV frames: each CRC-checked frame goes on to
+//     the decode replica as it lands, so the prefill→router and
+//     router→decode crossings overlap. It fronts N decode replicas with
+//     FlowKV-style load-aware placement (the same drain/pending-KV
+//     signals sim's schedulers score), tracks replica health via
+//     /healthz heartbeats and connection-level failures, removes
+//     draining replicas from placement, and on replica death replays
+//     the log from its first frame on another replica with bounded
+//     backoff.
 //
 // Because every quantizer draw is a pure function of (seed, operand,
 // token position), a restored cache continues exactly where the prefill
@@ -58,6 +61,11 @@ var (
 	// ErrTransferFailed means the KV transfer (or the decode stream after
 	// it) failed on every retry attempt.
 	ErrTransferFailed = errors.New("disagg: transfer failed after retries")
+	// ErrStreamDiverged means a decode replica's token stream contradicted
+	// the tokens already delivered: a replayed index carrying a different
+	// id, or an index past the next one. That breaks the byte-identity
+	// invariant, so the request fails instead of passing it on.
+	ErrStreamDiverged = errors.New("disagg: decode stream diverged from the delivered tokens")
 )
 
 // PrefillJob asks a prefill node to run one request's prefill and ship

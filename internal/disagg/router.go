@@ -83,7 +83,7 @@ type Request struct {
 // Stream delivers one routed request's tokens, mirroring serve.Stream:
 // Tokens() yields them in order and closes when the request finishes;
 // Err() reports why (nil, ErrNoPrefill, ErrNoReplicas, ErrTransferFailed,
-// or the context error).
+// ErrStreamDiverged, or the context error).
 type Stream struct {
 	tokens chan TokenMsg
 	closed chan struct{}
@@ -151,11 +151,15 @@ type Report struct {
 	Retries   int64 `json:"retries"`
 	Failovers int64 `json:"failovers"`
 	// LinkKVBytes counts framed KV bytes per link, keyed
-	// "prefill→router <addr>" and "router→decode <addr>".
+	// "prefill→router <addr>" and "router→decode <addr>": the total of
+	// each completed leg. The same bytes cross both links, at the same
+	// time.
 	LinkKVBytes map[string]int64 `json:"link_kv_bytes"`
-	// TransferSeconds samples each KV leg separately: the prefill pull
-	// leg includes the prefill compute, and the decode push leg ends when
-	// the router's write returns, not when the decode node has the bytes.
+	// TransferSeconds samples one completed request each: from the first
+	// KV frame the router read off the prefill link to the decode
+	// replica's first token, which the replica sends only after restoring
+	// every head. It holds the wire time of the overlapped crossings and
+	// the restore, not the prefill compute.
 	TransferSeconds metrics.PercentileSummary `json:"transfer_seconds"`
 	Replicas        []ReplicaStatus           `json:"replicas"`
 	// Chaos is the fault injector's activity when one is attached.
@@ -163,10 +167,11 @@ type Report struct {
 }
 
 // Router fronts N decode replicas behind one submission API: it drives
-// prefill on a prefill node, buffers the KV frames (what makes failover
-// possible), places the decode on the least-loaded healthy replica, and
-// proxies the token stream back, deduplicating by token index across
-// retries.
+// prefill on a prefill node, relays and logs the KV frames — placing
+// the decode on the least-loaded healthy replica as soon as the first
+// frame lands and forwarding each frame as it arrives, while the log
+// is what makes failover possible — and proxies the token stream back,
+// deduplicating by token index across retries.
 type Router struct {
 	cfg   RouterConfig
 	hello netsim.Hello
@@ -642,109 +647,232 @@ func (r *Router) Submit(ctx context.Context, req Request) (*Stream, error) {
 
 func (r *Router) run(ctx context.Context, req Request, st *Stream) error {
 	id := r.reqID.Add(1)
-	frames, err := r.runPrefill(ctx, id, req)
-	if err != nil {
-		return err
-	}
-	return r.runDecode(ctx, id, req, frames, st)
-}
-
-// runPrefill drives the prefill leg on the first prefill node that
-// takes the job (round-robin start) and buffers every KV frame. A node
-// that is unreachable, answers queue_full or draining, or whose
-// transfer breaks, passes the job to the next one. The buffered frames
-// are the failover capital: a decode retry re-ships them without
-// touching the prefill tier again.
-func (r *Router) runPrefill(ctx context.Context, id uint64, req Request) ([][]byte, error) {
 	r.mu.Lock()
 	addrs := append([]string(nil), r.prefills...)
 	start := r.nextPre
 	r.nextPre = (r.nextPre + 1) % len(r.prefills)
 	r.mu.Unlock()
 
+	// The first prefill node that takes the job (round-robin start) runs
+	// it. A node that is unreachable, answers queue_full or draining, or
+	// whose transfer breaks — before its first frame or mid-relay —
+	// passes the job to the next one, which fills a fresh log.
 	var lastErr error
 	for i := range addrs {
-		addr := addrs[(start+i)%len(addrs)]
-		frames, err := r.pullPrefill(ctx, addr, id, req)
-		if err == nil {
-			return frames, nil
+		prefillErr, err := r.relay(ctx, addrs[(start+i)%len(addrs)], id, req, st)
+		if prefillErr == nil {
+			return err
 		}
-		lastErr = err
-		if !isRetryable(err) && !errors.Is(err, errPrefillBusy) {
-			return nil, err // protocol-level refusal: retrying elsewhere won't help
+		if ctx.Err() != nil {
+			return ctx.Err()
+		}
+		lastErr = prefillErr
+		if !isRetryable(prefillErr) && !errors.Is(prefillErr, errPrefillBusy) {
+			return prefillErr // protocol-level refusal: retrying elsewhere won't help
 		}
 	}
-	return nil, fmt.Errorf("%w: %v", ErrNoPrefill, lastErr)
+	return fmt.Errorf("%w: %v", ErrNoPrefill, lastErr)
 }
 
 // errPrefillBusy marks a prefill node's refusal that another prefill
 // node may not share: a full queue, a drain, or a broken transfer.
 var errPrefillBusy = errors.New("disagg: prefill node cannot take the job")
 
-func (r *Router) pullPrefill(ctx context.Context, addr string, id uint64, req Request) ([][]byte, error) {
+// transfer is one request's KV frame log: the prefill leg appends each
+// frame, and decode attempts read it from frame 0 while it is still
+// filling, waiting on frames that have not landed. A complete log is the
+// failover capital — a decode retry replays it without touching the
+// prefill tier again — and a failed prefill leg voids it.
+type transfer struct {
+	mu     sync.Mutex
+	frames [][]byte
+	first  time.Time     // when frame 0 landed
+	grew   chan struct{} // closed when a frame lands or the log is sealed
+	sealed bool
+	err    error // the prefill leg's failure
+}
+
+func newTransfer() *transfer { return &transfer{grew: make(chan struct{})} }
+
+// add appends one CRC-checked frame and wakes every waiting reader.
+func (x *transfer) add(frame []byte) {
+	x.mu.Lock()
+	defer x.mu.Unlock()
+	if len(x.frames) == 0 {
+		x.first = time.Now()
+	}
+	x.frames = append(x.frames, frame)
+	close(x.grew)
+	x.grew = make(chan struct{})
+}
+
+// seal ends the log: complete when err is nil (the prefill leg read
+// MsgTransferEnd), void otherwise.
+func (x *transfer) seal(err error) {
+	x.mu.Lock()
+	defer x.mu.Unlock()
+	x.sealed, x.err = true, err
+	close(x.grew)
+}
+
+// at returns frame i if it has landed (a landed frame is never nil).
+// Otherwise it returns a channel that closes when the log next changes,
+// or neither once the log is complete and i is past its end. A non-nil
+// err is the prefill leg's failure: the log is void, and nothing more
+// of it may be relayed.
+func (x *transfer) at(i int) (frame []byte, grew <-chan struct{}, err error) {
+	x.mu.Lock()
+	defer x.mu.Unlock()
+	switch {
+	case x.err != nil:
+		return nil, nil, x.err
+	case i < len(x.frames):
+		return x.frames[i], nil, nil
+	case x.sealed:
+		return nil, nil, nil
+	}
+	return nil, x.grew, nil
+}
+
+// wait blocks until frame i has landed or the log is sealed, and
+// returns the prefill leg's failure, if any.
+func (x *transfer) wait(i int) error {
+	for {
+		f, grew, err := x.at(i)
+		if err != nil || f != nil || grew == nil {
+			return err
+		}
+		<-grew
+	}
+}
+
+// start is when frame 0 landed.
+func (x *transfer) start() time.Time {
+	x.mu.Lock()
+	defer x.mu.Unlock()
+	return x.first
+}
+
+// prefillLost is a prefill-leg failure that a decode attempt saw
+// mid-relay. It ends the attempt without judging the replica, and the
+// job moves to the next prefill node.
+type prefillLost struct{ err error }
+
+func (e prefillLost) Error() string { return "disagg: prefill leg lost mid-relay: " + e.err.Error() }
+func (e prefillLost) Unwrap() error { return e.err }
+
+// relay runs one prefill leg on addr into a fresh frame log, in its own
+// goroutine, and relays the log to a decode replica from the moment its
+// first frame lands, so the two wire crossings overlap. A non-nil
+// prefillErr means the prefill leg failed — before its first frame, or
+// mid-relay, which cancelled the decode attempt reading the log — and
+// the job may move to the next prefill node; otherwise err is the
+// request's outcome. The prefill goroutine is joined before relay
+// returns.
+func (r *Router) relay(ctx context.Context, addr string, id uint64, req Request, st *Stream) (prefillErr, err error) {
+	x := newTransfer()
+	legCtx, cancel := context.WithCancel(ctx)
+	joined := make(chan struct{})
+	go func() {
+		defer close(joined)
+		x.seal(r.pullPrefill(legCtx, addr, id, req, x))
+	}()
+	defer func() {
+		cancel()
+		<-joined
+	}()
+	if err := x.wait(0); err != nil {
+		return err, nil
+	}
+	err = r.runDecode(ctx, id, req, x, st)
+	var lost prefillLost
+	if errors.As(err, &lost) {
+		return lost.err, nil
+	}
+	return nil, err
+}
+
+// pullPrefill runs the prefill leg: it sends the job to addr and adds
+// each KV frame to x once ReadMessageTimeout has checked the frame's CRC,
+// so a frame corrupted on the prefill link never reaches a decode node.
+func (r *Router) pullPrefill(ctx context.Context, addr string, id uint64, req Request, x *transfer) error {
 	conn, _, err := r.dial(addr)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	defer conn.Close()
 	stop := context.AfterFunc(ctx, func() { conn.Close() })
 	defer stop()
 
-	start := time.Now()
 	if err := writeJSONTimeout(conn, r.cfg.FrameTimeout, netsim.MsgPrefill, PrefillJob{RequestID: id, Prompt: req.Prompt, Seed: req.Seed}); err != nil {
-		return nil, err
+		return err
 	}
-	var frames [][]byte
 	var total int64
 	for {
 		t, payload, err := netsim.ReadMessageTimeout(conn, r.cfg.FrameTimeout)
 		if err != nil {
 			if ctx.Err() != nil {
-				return nil, ctx.Err()
+				return ctx.Err()
 			}
-			return nil, err
+			return err
 		}
 		switch t {
 		case netsim.MsgFrame:
-			frames = append(frames, payload)
+			x.add(payload)
 			total += int64(len(payload))
 		case netsim.MsgTransferEnd:
-			r.recordTransfer("prefill→router "+addr, total, time.Since(start).Seconds())
-			return frames, nil
+			r.addLinkBytes("prefill→router "+addr, total)
+			return nil
 		case netsim.MsgDone:
 			var d DoneMsg
 			if err := jsonUnmarshal(payload, &d); err != nil {
-				return nil, err
+				return err
 			}
 			switch d.Kind {
 			case "queue_full", "draining", "transfer":
-				return nil, fmt.Errorf("%w: %s: %s (%s)", errPrefillBusy, addr, d.Err, d.Kind)
+				return fmt.Errorf("%w: %s: %s (%s)", errPrefillBusy, addr, d.Err, d.Kind)
 			}
-			return nil, fmt.Errorf("disagg: prefill %s: %s (%s)", addr, d.Err, d.Kind)
+			return fmt.Errorf("disagg: prefill %s: %s (%s)", addr, d.Err, d.Kind)
 		default:
-			return nil, fmt.Errorf("disagg: unexpected %v during prefill transfer", t)
+			return fmt.Errorf("disagg: unexpected %v during prefill transfer", t)
 		}
 	}
 }
 
-func (r *Router) recordTransfer(link string, bytes int64, seconds float64) {
+func (r *Router) addLinkBytes(link string, n int64) {
 	r.linkMu.Lock()
-	r.linkBytes[link] += bytes
+	r.linkBytes[link] += n
+	r.linkMu.Unlock()
+}
+
+func (r *Router) addTransferSample(seconds float64) {
+	r.linkMu.Lock()
 	r.transferS = append(r.transferS, seconds)
 	r.linkMu.Unlock()
 }
 
-// runDecode places the buffered transfer on a replica and proxies the
-// token stream, retrying on replica death under a wall-clock budget
-// with jittered exponential backoff (and the optional RetryMax count
-// cap). Tokens are deduplicated by index, so a stream that failed over
-// mid-flight still delivers each token exactly once, in order.
-func (r *Router) runDecode(ctx context.Context, id uint64, req Request, frames [][]byte, st *Stream) error {
+// delivery is what one request's stream has delivered across decode
+// attempts: every token id by index (so a replayed index can be held to
+// the id already sent) and when the first token arrived.
+type delivery struct {
+	ids   []int
+	first time.Time
+}
+
+// runDecode places the relay on a replica and proxies the token stream,
+// retrying on replica death under a wall-clock budget with jittered
+// exponential backoff (and the optional RetryMax count cap). Each retry
+// replays the log from frame 0, waiting on frames that have not landed
+// yet. Tokens are deduplicated by index, so a stream that failed over
+// mid-flight still delivers each token exactly once, in order; a
+// replayed index carrying a different id fails the request with
+// ErrStreamDiverged.
+func (r *Router) runDecode(ctx context.Context, id uint64, req Request, x *transfer, st *Stream) error {
 	// Jitter is seeded per request, so concurrent failovers desynchronize
 	// instead of thundering back in lockstep, yet a replayed request
 	// reproduces its exact retry schedule.
 	bo := chaos.NewBackoff(r.cfg.RetryBackoff, 0, r.cfg.RetryJitter, r.cfg.RetryBudget, int64(id))
-	lastDelivered := -1
+	var d delivery
 	var lastErr error
 	var lastFailed *replica
 	sawReplica := false
@@ -753,13 +881,13 @@ func (r *Router) runDecode(ctx context.Context, id uint64, req Request, frames [
 			if r.cfg.RetryMax >= 0 && attempt > r.cfg.RetryMax {
 				break
 			}
-			d, ok := bo.Next()
+			wait, ok := bo.Next()
 			if !ok {
 				break // retry budget exhausted
 			}
 			r.retries.Add(1)
 			select {
-			case <-time.After(d):
+			case <-time.After(wait):
 			case <-ctx.Done():
 				return ctx.Err()
 			}
@@ -770,8 +898,11 @@ func (r *Router) runDecode(ctx context.Context, id uint64, req Request, frames [
 			continue
 		}
 		sawReplica = true
-		err, terminal := r.tryDecode(ctx, rep, id, req, frames, st, &lastDelivered)
+		err, terminal := r.tryDecode(ctx, rep, id, req, x, st, &d)
 		if err == nil {
+			if !d.first.IsZero() {
+				r.addTransferSample(d.first.Sub(x.start()).Seconds())
+			}
 			return nil
 		}
 		if terminal {
@@ -779,7 +910,7 @@ func (r *Router) runDecode(ctx context.Context, id uint64, req Request, frames [
 		}
 		lastErr = err
 		lastFailed = rep
-		if lastDelivered >= 0 {
+		if len(d.ids) > 0 {
 			r.failovers.Add(1) // died mid-stream; the next attempt resumes it
 		}
 	}
@@ -789,23 +920,29 @@ func (r *Router) runDecode(ctx context.Context, id uint64, req Request, frames [
 	return fmt.Errorf("%w: %v", ErrTransferFailed, lastErr)
 }
 
-// tryDecode runs one decode attempt on one replica. The bool result
-// distinguishes terminal failures (bad request, context cancellation)
-// from retryable ones (replica death, drain, queue pressure).
-func (r *Router) tryDecode(ctx context.Context, rep *replica, id uint64, req Request, frames [][]byte, st *Stream, lastDelivered *int) (err error, terminal bool) {
+// wireMsg is one message a peer sent, or the error that ended its stream.
+type wireMsg struct {
+	t       netsim.MsgType
+	payload []byte
+	err     error
+}
+
+// tryDecode runs one decode attempt on one replica: it sends the job,
+// writes each logged frame as it lands and MsgTransferEnd once the log
+// is complete, and proxies the token stream back. The bool result
+// distinguishes terminal failures (bad request, cancellation, a lost
+// prefill leg, a diverged replay) from retryable ones (replica death,
+// drain, queue pressure).
+func (r *Router) tryDecode(ctx context.Context, rep *replica, id uint64, req Request, x *transfer, st *Stream, d *delivery) (err error, terminal bool) {
 	rep.inflight.Add(1)
 	defer rep.inflight.Add(-1)
-	var total int64
-	for _, f := range frames {
-		total += int64(len(f))
-	}
-	rep.pendingKV.Add(total)
-	defer rep.pendingKV.Add(-total)
+	var relayed int64 // framed KV bytes written to this replica
+	defer func() { rep.pendingKV.Add(-relayed) }()
 
 	// Every exit resolves the breaker exactly once: transport faults feed
 	// Failure, a clean stream feeds Success, and everything else (our own
-	// cancellation, backpressure) releases a held half-open probe slot
-	// without judging the replica.
+	// cancellation, a lost prefill leg, backpressure) releases a held
+	// half-open probe slot without judging the replica.
 	verdict := 0
 	defer func() {
 		switch {
@@ -828,6 +965,39 @@ func (r *Router) tryDecode(ctx context.Context, rep *replica, id uint64, req Req
 	stop := context.AfterFunc(ctx, func() { conn.Close() })
 	defer stop()
 
+	// The replica's replies are read from the start, so one that dies
+	// mid-relay is seen at once rather than at the next frame. It owes
+	// nothing until MsgTransferEnd is out, so reads are unbounded until
+	// armed; from then on each is bounded by FrameTimeout.
+	var armed atomic.Bool
+	replies := make(chan wireMsg)
+	quit := make(chan struct{})
+	readerDone := make(chan struct{})
+	go func() {
+		defer close(readerDone)
+		for {
+			var m wireMsg
+			if armed.Load() {
+				m.t, m.payload, m.err = netsim.ReadMessageTimeout(conn, r.cfg.FrameTimeout)
+			} else {
+				m.t, m.payload, m.err = netsim.ReadMessage(conn)
+			}
+			select {
+			case replies <- m:
+			case <-quit:
+				return
+			}
+			if m.err != nil {
+				return
+			}
+		}
+	}()
+	defer func() {
+		close(quit)
+		conn.Close()
+		<-readerDone
+	}()
+
 	// fail classifies a transport failure: it marks the replica down and
 	// feeds its breaker, unless the real cause was our own cancellation.
 	fail := func(e error) (error, bool) {
@@ -839,39 +1009,67 @@ func (r *Router) tryDecode(ctx context.Context, rep *replica, id uint64, req Req
 		return e, false
 	}
 
-	start := time.Now()
 	job := DecodeJob{RequestID: id, PromptLen: len(req.Prompt), Seed: req.Seed,
 		MaxNew: req.MaxNewTokens, EOS: req.EOS}
 	if err := writeJSONTimeout(conn, r.cfg.FrameTimeout, netsim.MsgDecode, job); err != nil {
 		return fail(err)
 	}
-	for _, f := range frames {
-		if err := netsim.WriteMessageTimeout(conn, r.cfg.FrameTimeout, netsim.MsgFrame, f); err != nil {
-			return fail(err)
-		}
-	}
-	if err := netsim.WriteMessageTimeout(conn, r.cfg.FrameTimeout, netsim.MsgTransferEnd, nil); err != nil {
-		return fail(err)
-	}
-	r.recordTransfer("router→decode "+rep.addr, total, time.Since(start).Seconds())
-	rep.requests.Add(1)
-
+	next := 0 // the next log frame to relay; -1 once MsgTransferEnd is out
 	for {
-		t, payload, err := netsim.ReadMessageTimeout(conn, r.cfg.FrameTimeout)
-		if err != nil {
-			return fail(err)
+		var grew <-chan struct{}
+		if next >= 0 {
+			f, g, err := x.at(next)
+			switch {
+			case err != nil:
+				// The prefill link failed: the replica is not at fault.
+				return prefillLost{err}, true
+			case f != nil:
+				rep.pendingKV.Add(int64(len(f)))
+				relayed += int64(len(f))
+				if err := netsim.WriteMessageTimeout(conn, r.cfg.FrameTimeout, netsim.MsgFrame, f); err != nil {
+					return fail(err)
+				}
+				next++
+				continue
+			case g != nil:
+				grew = g
+			default:
+				if err := netsim.WriteMessageTimeout(conn, r.cfg.FrameTimeout, netsim.MsgTransferEnd, nil); err != nil {
+					return fail(err)
+				}
+				r.addLinkBytes("router→decode "+rep.addr, relayed)
+				rep.requests.Add(1)
+				armed.Store(true)
+				if r.cfg.FrameTimeout > 0 {
+					_ = conn.SetReadDeadline(time.Now().Add(r.cfg.FrameTimeout))
+				}
+				next = -1
+			}
 		}
-		switch t {
+		var m wireMsg
+		select {
+		case <-grew:
+			continue
+		case m = <-replies:
+		}
+		if m.err != nil {
+			return fail(m.err)
+		}
+		switch m.t {
 		case netsim.MsgPing:
 			if err := netsim.WriteMessage(conn, netsim.MsgPong, nil); err != nil {
 				return fail(err)
 			}
 		case netsim.MsgToken:
 			var tok TokenMsg
-			if err := jsonUnmarshal(payload, &tok); err != nil {
+			if err := jsonUnmarshal(m.payload, &tok); err != nil {
 				return fail(err)
 			}
-			if tok.Index > *lastDelivered {
+			switch n := len(d.ids); {
+			case tok.Index == n:
+				if n == 0 {
+					d.first = time.Now()
+				}
 				// The buffer is sized for the request's budget, but never
 				// bet the goroutine on that: a blocked send must still
 				// observe cancellation.
@@ -880,19 +1078,23 @@ func (r *Router) tryDecode(ctx context.Context, rep *replica, id uint64, req Req
 				case <-ctx.Done():
 					return ctx.Err(), true
 				}
-				*lastDelivered = tok.Index
+				d.ids = append(d.ids, tok.ID)
+			case tok.Index < 0 || tok.Index > n || d.ids[tok.Index] != tok.ID:
+				return fmt.Errorf("%w: replica %s sent token %d as id %d after %d delivered",
+					ErrStreamDiverged, rep.addr, tok.Index, tok.ID, n), true
 			}
+			// Otherwise a replayed index carries the id already delivered.
 		case netsim.MsgDone:
-			var d DoneMsg
-			if err := jsonUnmarshal(payload, &d); err != nil {
+			var dm DoneMsg
+			if err := jsonUnmarshal(m.payload, &dm); err != nil {
 				return fail(err)
 			}
-			if d.Err == "" {
+			if dm.Err == "" {
 				verdict = 1
 				return nil, false
 			}
-			e := fmt.Errorf("disagg: decode %s: %s (%s)", rep.addr, d.Err, d.Kind)
-			switch d.Kind {
+			e := fmt.Errorf("disagg: decode %s: %s (%s)", rep.addr, dm.Err, dm.Kind)
+			switch dm.Kind {
 			case "draining":
 				rep.draining.Store(true)
 				return e, false
@@ -910,7 +1112,7 @@ func (r *Router) tryDecode(ctx context.Context, rep *replica, id uint64, req Req
 				return e, true
 			}
 		default:
-			return fmt.Errorf("disagg: unexpected %v in token stream", t), true
+			return fmt.Errorf("disagg: unexpected %v in token stream", m.t), true
 		}
 	}
 }

@@ -3,6 +3,7 @@ package quant
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -277,6 +278,22 @@ func TestPackErrors(t *testing.T) {
 	}
 	if _, err := Unpack(nil, 8, 2); err == nil {
 		t.Error("Unpack short buffer accepted")
+	}
+}
+
+// TestFromWireRejectsOverflowingShape feeds FromWire hostile headers
+// whose rows×cols overflows int (and int64): the shape check must refuse
+// them before anything is sized from the product, on 32- and 64-bit
+// platforms alike.
+func TestFromWireRejectsOverflowingShape(t *testing.T) {
+	for _, sh := range [][2]int{
+		{math.MaxInt, math.MaxInt}, {math.MaxInt/2 + 1, 2}, {2, math.MaxInt/2 + 1},
+		{1 << 30, 1 << 30}, {-1, 4}, {4, -1},
+	} {
+		_, err := FromWire(AlongCols, sh[0], sh[1], 2, 64, nil, nil, nil)
+		if err == nil || !strings.Contains(err.Error(), "wire shape") {
+			t.Errorf("FromWire(%d×%d): err = %v, want a wire-shape refusal", sh[0], sh[1], err)
+		}
 	}
 }
 

@@ -1,6 +1,16 @@
 package quant
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
+
+// maxWireElems bounds a wire tensor's element count so neither rows×cols
+// nor the bit-size arithmetic in FromWire can overflow int on hostile
+// headers: 8 Gi codes (≫ any real KV head) on 64-bit platforms, what
+// PackedBytes can size on 32-bit ones. FromWire checks it in int64 so
+// the bound compiles on both.
+const maxWireElems = min(1<<33, (math.MaxInt-7)/8)
 
 // FromWire rebuilds a quantized tensor from its wire components: packed
 // codes plus FP16-rounded min/scale metadata, with the summation-
@@ -8,11 +18,7 @@ import "fmt"
 // the decode instance derives them once on receipt, §5.3). All inputs
 // come off the network, so every shape is validated rather than trusted.
 func FromWire(axis Axis, rows, cols, bitWidth, pi int, packed []byte, min, scale []float32) (*Tensor, error) {
-	// maxWireElems bounds the element count so the bit-size arithmetic
-	// below cannot overflow on hostile headers (8 Gi codes ≫ any real KV
-	// head).
-	const maxWireElems = 1 << 33
-	if rows < 0 || cols < 0 || rows > 0 && cols > 0 && rows > maxWireElems/cols {
+	if rows < 0 || cols < 0 || rows > 0 && cols > 0 && int64(rows) > maxWireElems/int64(cols) {
 		return nil, fmt.Errorf("quant: wire shape %dx%d", rows, cols)
 	}
 	if bitWidth < 1 || bitWidth > 8 {

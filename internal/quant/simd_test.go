@@ -152,10 +152,11 @@ func flavorMatrix(rng *rand.Rand, rows, cols, flavor int) *tensor.Matrix {
 
 // simdKeys and simdRow0s are stream keys (two near the 2⁶⁴ wrap) and
 // first-row positions (two past 2²⁰, so the row<<32 counter term
-// matters, one past 2³²) the differential tests cycle through.
+// matters; the last past 2³² on 64-bit platforms and near the int limit
+// on 32-bit ones) the differential tests cycle through.
 var (
 	simdKeys  = []uint64{StreamKeys(1).P, math.MaxUint64, math.MaxUint64 - 7, 0x51}
-	simdRow0s = []int{0, 5, 1<<20 + 3, 1<<33 + 7}
+	simdRow0s = []int{0, 5, 1<<20 + 3, min(1<<33+7, math.MaxInt-1<<20)}
 )
 
 // TestSIMDMatchesScalar runs the quantizer against referenceQuantize on
