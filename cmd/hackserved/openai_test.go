@@ -350,6 +350,81 @@ func TestOpenAISSEClientCancel(t *testing.T) {
 		baseline, runtime.NumGoroutine(), buf[:runtime.Stack(buf, true)])
 }
 
+// routerFleet starts a prefill node, a decode node and a router in
+// process, closed at cleanup, with the given per-request token budget.
+func routerFleet(t *testing.T, maxNew int) *hack.DisaggServer {
+	t.Helper()
+	start := func(role hack.Role, opts ...hack.Option) *hack.DisaggServer {
+		eng, err := hack.New(append([]hack.Option{
+			hack.WithMethod("HACK"), hack.WithRole(role),
+			hack.WithServeConfig(hack.ServeConfig{
+				PrefillWorkers: 1, DecodeParallelism: 1, MaxBatch: 4, MaxNewTokens: maxNew,
+			}),
+		}, opts...)...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv, err := eng.ListenDisagg(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { srv.Close() })
+		return srv
+	}
+	prefill := start(hack.RolePrefill)
+	decode := start(hack.RoleDecode)
+	return start(hack.RoleRouter,
+		hack.WithPeers([]string{prefill.WireAddr()}, []string{decode.WireAddr()}),
+		hack.WithDisaggConfig(hack.DisaggConfig{HealthInterval: time.Hour}),
+	)
+}
+
+// TestRoutedSSEClientCancel is TestOpenAISSEClientCancel through the
+// router: the handler reads the router's stream directly, so a client
+// that hangs up mid-stream must still end the router's request (its
+// Failed counter ticks with the context error) and leave no goroutine
+// behind.
+func TestRoutedSSEClientCancel(t *testing.T) {
+	// 1024 tokens keep the decode node busy for hundreds of milliseconds
+	// (the hang-up lands within tens); the node decodes an abandoned
+	// request to its budget, which its shutdown then waits out.
+	router := routerFleet(t, 1024)
+	ts := httptest.NewServer(router.Handler())
+	defer ts.Close()
+	baseline := runtime.NumGoroutine()
+
+	resp, err := http.Post(ts.URL+"/v1/completions", "application/json",
+		strings.NewReader(`{"prompt":"a very long story","max_tokens":1024,"stream":true}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	br := bufio.NewReader(resp.Body)
+	if _, err := br.ReadString('\n'); err != nil {
+		t.Fatalf("first SSE frame: %v", err)
+	}
+	resp.Body.Close() // hang up mid-stream
+
+	deadline := time.Now().Add(15 * time.Second)
+	for router.Report().Failed == 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("router never ended the abandoned request: %+v", router.Report())
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	if rep := router.Report(); rep.Completed != 0 {
+		t.Fatalf("abandoned request ran to completion: %+v", rep)
+	}
+	for time.Now().Before(deadline) {
+		if runtime.NumGoroutine() <= baseline+2 {
+			return
+		}
+		time.Sleep(20 * time.Millisecond)
+	}
+	buf := make([]byte, 1<<20)
+	t.Fatalf("goroutine leak after cancel: baseline %d, now %d\n%s",
+		baseline, runtime.NumGoroutine(), buf[:runtime.Stack(buf, true)])
+}
+
 // promTypeLines scrapes /metrics in Prometheus form and returns only
 // the "# TYPE" schema lines — the stable metric inventory, independent
 // of counts.
@@ -401,8 +476,6 @@ func checkGolden(t *testing.T, name, got string) {
 // ("# TYPE" lines) exposed by the shared /metrics route on both roles —
 // the negotiation and the schema can no longer drift between them.
 func TestMetricsPrometheusGoldens(t *testing.T) {
-	ctx := context.Background()
-
 	// Local role, after one generation so every family is live.
 	mux, srv := testMux(t)
 	local := httptest.NewServer(mux)
@@ -412,37 +485,7 @@ func TestMetricsPrometheusGoldens(t *testing.T) {
 	checkGolden(t, "prom_local_types.golden", promTypeLines(t, local.URL))
 
 	// Router role over an in-process fleet via the public facade.
-	newEng := func(role hack.Role, opts ...hack.Option) *hack.Engine {
-		eng, err := hack.New(append([]hack.Option{
-			hack.WithMethod("HACK"), hack.WithRole(role),
-			hack.WithServeConfig(hack.ServeConfig{
-				PrefillWorkers: 1, DecodeParallelism: 1, MaxBatch: 4, MaxNewTokens: 8,
-			}),
-		}, opts...)...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return eng
-	}
-	prefill, err := newEng(hack.RolePrefill).ListenDisagg(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer prefill.Close()
-	decode, err := newEng(hack.RoleDecode).ListenDisagg(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer decode.Close()
-	router, err := newEng(hack.RoleRouter,
-		hack.WithPeers([]string{prefill.WireAddr()}, []string{decode.WireAddr()}),
-		hack.WithDisaggConfig(hack.DisaggConfig{HealthInterval: time.Hour}),
-	).ListenDisagg(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer router.Close()
-
+	router := routerFleet(t, 8)
 	routerTS := httptest.NewServer(router.Handler())
 	defer routerTS.Close()
 	generateIDs(t, routerTS.URL, tok.Encode("warm up"), 2, 1)

@@ -71,9 +71,7 @@ func (g routerGen) Generate(ctx context.Context, req api.Request) (api.Stream, e
 	if err != nil {
 		return nil, classifyRouted(err)
 	}
-	rs := &routedTokenStream{st: st, out: make(chan GenToken)}
-	go rs.pump(ctx)
-	return rs, nil
+	return routedStream{st}, nil
 }
 
 func (g routerGen) Draining() bool   { return false }
@@ -103,32 +101,10 @@ func classifyRouted(err error) error {
 	return err
 }
 
-// routedTokenStream bridges a RoutedStream (wire TokenMsg frames) to
-// the api.Stream the shared handler consumes. pump forwards in order
-// and exits when the request's context is cancelled — the router seals
-// the underlying stream on cancellation, so the drain terminates and
-// no goroutine outlives the request.
-type routedTokenStream struct {
-	st  *RoutedStream
-	out chan GenToken
-}
+// routedStream is the router's token stream as the handler consumes it,
+// with fleet-level failures classified for the shared error mapping.
+// Cancelling the request's context ends the router's sender, which
+// then seals the stream.
+type routedStream struct{ *RoutedStream }
 
-func (r *routedTokenStream) Tokens() <-chan GenToken { return r.out }
-
-func (r *routedTokenStream) Err() error { return classifyRouted(r.st.Err()) }
-
-func (r *routedTokenStream) pump(ctx context.Context) {
-	defer close(r.out)
-	for tok := range r.st.Tokens() {
-		select {
-		case r.out <- GenToken{Index: tok.Index, ID: tok.ID}:
-		case <-ctx.Done():
-			// Client gone: discard the remainder so the router's buffered
-			// sender finishes, then let the stream close.
-			for range r.st.Tokens() {
-				continue
-			}
-			return
-		}
-	}
-}
+func (r routedStream) Err() error { return classifyRouted(r.RoutedStream.Err()) }

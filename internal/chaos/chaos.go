@@ -31,6 +31,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"github.com/hackkv/hack/internal/metrics"
 )
 
 // Dialer is the dial hook threaded through the disagg and serve
@@ -222,22 +224,15 @@ func (in *Injector) Stats() Stats {
 // text exposition format (0.0.4).
 func (in *Injector) WritePrometheus(w io.Writer) error {
 	st := in.Stats()
-	var err error
-	emit := func(name, help string, v int64) {
-		if err == nil {
-			_, err = fmt.Fprintf(w,
-				"# HELP chaos_%s %s\n# TYPE chaos_%s counter\nchaos_%s %d\n",
-				name, help, name, name, v)
-		}
-	}
-	emit("dials_total", "Dials attempted through the injector.", st.Dials)
-	emit("dials_refused_total", "Dials refused by a partition plan.", st.DialsRefused)
-	emit("conns_severed_total", "Live connections severed by partitions.", st.ConnsSevered)
-	emit("conns_reset_total", "Connections reset mid-stream.", st.ConnsReset)
-	emit("bytes_corrupted_total", "Written bytes with an injected bit flip.", st.BytesCorrupted)
-	emit("reads_stalled_total", "Reads that hit a half-open stall.", st.ReadsStalled)
-	emit("ops_delayed_total", "Read/write operations with injected latency.", st.OpsDelayed)
-	return err
+	p := metrics.NewProm(w)
+	p.Counter("chaos_dials_total", "Dials attempted through the injector.", st.Dials)
+	p.Counter("chaos_dials_refused_total", "Dials refused by a partition plan.", st.DialsRefused)
+	p.Counter("chaos_conns_severed_total", "Live connections severed by partitions.", st.ConnsSevered)
+	p.Counter("chaos_conns_reset_total", "Connections reset mid-stream.", st.ConnsReset)
+	p.Counter("chaos_bytes_corrupted_total", "Written bytes with an injected bit flip.", st.BytesCorrupted)
+	p.Counter("chaos_reads_stalled_total", "Reads that hit a half-open stall.", st.ReadsStalled)
+	p.Counter("chaos_ops_delayed_total", "Read/write operations with injected latency.", st.OpsDelayed)
+	return p.Err()
 }
 
 // Conn is a net.Conn with faults. Build one through Injector.Wrap or

@@ -337,7 +337,7 @@ func TestRouterFailsOverOnCorruptTokenStream(t *testing.T) {
 	if len(want) < 4 {
 		t.Fatalf("reference stream too short to split: %v", want)
 	}
-	prefix := []TokenMsg{{0, want[0]}, {1, want[1]}}
+	prefix := []TokenMsg{{Index: 0, ID: want[0]}, {Index: 1, ID: want[1]}}
 
 	finales := map[string]func(net.Conn){
 		"corrupt-crc": func(conn net.Conn) {

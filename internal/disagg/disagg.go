@@ -43,6 +43,7 @@ import (
 
 	"github.com/hackkv/hack/internal/chaos"
 	"github.com/hackkv/hack/internal/netsim"
+	"github.com/hackkv/hack/internal/serve"
 )
 
 // defaultFrameTimeout bounds one framed read or write inside a transfer
@@ -87,11 +88,10 @@ type DecodeJob struct {
 	EOS       int    `json:"eos,omitempty"`
 }
 
-// TokenMsg is one streamed token (MsgToken payload).
-type TokenMsg struct {
-	Index int `json:"index"`
-	ID    int `json:"id"`
-}
+// TokenMsg is one streamed token (MsgToken payload). It is the
+// runtime's own token type, so the router hands each one to its Stream
+// as it came off the wire.
+type TokenMsg = serve.Token
 
 // DoneMsg terminates a request's stream (MsgDone payload). Err is empty
 // for a natural finish; Kind classifies failures so the router can map

@@ -311,7 +311,7 @@ func TestFailoverMidStream(t *testing.T) {
 	before := runtime.NumGoroutine()
 
 	// The stub streams the true first three tokens, then drops dead.
-	prefix := []TokenMsg{{0, want[0]}, {1, want[1]}, {2, want[2]}}
+	prefix := []TokenMsg{{Index: 0, ID: want[0]}, {Index: 1, ID: want[1]}, {Index: 2, ID: want[2]}}
 	stub, stopStub := stubReplica(t, prefix)
 	defer stopStub()
 

@@ -194,7 +194,7 @@ func TestRouterZeroFailuresUnderHeaderFlips(t *testing.T) {
 	t.Run("decode-stream", func(t *testing.T) {
 		for _, hf := range headerFlips {
 			t.Run(hf.name, func(t *testing.T) {
-				prefix := []TokenMsg{{0, want[0]}, {1, want[1]}}
+				prefix := []TokenMsg{{Index: 0, ID: want[0]}, {Index: 1, ID: want[1]}}
 				finale := func(conn net.Conn) {
 					full := wireFrame(t, netsim.MsgToken, mustJSON(t, TokenMsg{Index: 2, ID: want[2]}))
 					conn.Write(flipBit(full, hf.off, hf.bit))

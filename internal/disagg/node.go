@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"github.com/hackkv/hack/internal/attention"
+	"github.com/hackkv/hack/internal/metrics"
 	"github.com/hackkv/hack/internal/model"
 	"github.com/hackkv/hack/internal/netsim"
 	"github.com/hackkv/hack/internal/serve"
@@ -37,9 +38,6 @@ type NodeConfig struct {
 	Serve serve.Config
 	// MethodName is advertised in the handshake; defaults to "hack".
 	MethodName string
-	// DrainTimeout bounds the graceful Shutdown wait in Close and Drain
-	// (default 30s).
-	DrainTimeout time.Duration
 	// FrameTimeout bounds each KV frame read or write inside a transfer
 	// and each token write (default 10s) so a half-open router cannot
 	// wedge a handler goroutine; the idle between-jobs read stays
@@ -58,6 +56,9 @@ type NodeStats struct {
 	FramesSent int64 `json:"frames_sent"`
 	KVBytes    int64 `json:"kv_bytes_sent"`
 }
+
+// drainTimeout bounds the graceful Shutdown wait in Close and Drain.
+const drainTimeout = 30 * time.Second
 
 // Node wraps a serve.Server behind the wire protocol. A prefill job
 // (MsgPrefill) runs through the runtime's admission queue, prefill
@@ -94,9 +95,6 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 	}
 	if cfg.MethodName == "" {
 		cfg.MethodName = "hack"
-	}
-	if cfg.DrainTimeout <= 0 {
-		cfg.DrainTimeout = 30 * time.Second
 	}
 	if cfg.FrameTimeout == 0 {
 		cfg.FrameTimeout = defaultFrameTimeout
@@ -161,19 +159,15 @@ func (n *Node) Stats() NodeStats {
 // Prometheus text format.
 func (n *Node) writeProm(w io.Writer) error {
 	st := n.Stats()
-	err := st.Snapshot.WritePrometheus(w, "hackserved")
-	emit := func(name, help string, v int64) {
-		if err == nil {
-			_, err = fmt.Fprintf(w,
-				"# HELP hackserved_prefill_%s %s\n# TYPE hackserved_prefill_%s counter\nhackserved_prefill_%s %d\n",
-				name, help, name, name, v)
-		}
+	if err := st.Snapshot.WritePrometheus(w, "hackserved"); err != nil {
+		return err
 	}
-	emit("prefills_total", "Prefill jobs executed.", st.Prefills)
-	emit("failures_total", "Wire jobs that failed.", st.Failures)
-	emit("frames_sent_total", "KV frames shipped.", st.FramesSent)
-	emit("kv_bytes_sent_total", "Framed KV bytes shipped.", st.KVBytes)
-	return err
+	p := metrics.NewProm(w)
+	p.Counter("hackserved_prefill_prefills_total", "Prefill jobs executed.", st.Prefills)
+	p.Counter("hackserved_prefill_failures_total", "Wire jobs that failed.", st.Failures)
+	p.Counter("hackserved_prefill_frames_sent_total", "KV frames shipped.", st.FramesSent)
+	p.Counter("hackserved_prefill_kv_bytes_sent_total", "Framed KV bytes shipped.", st.KVBytes)
+	return p.Err()
 }
 
 // Drain starts a graceful shutdown in the background: /healthz flips to
@@ -182,7 +176,7 @@ func (n *Node) writeProm(w io.Writer) error {
 func (n *Node) Drain() {
 	n.drainMu.Do(func() {
 		go func() {
-			ctx, cancel := context.WithTimeout(context.Background(), n.cfg.DrainTimeout)
+			ctx, cancel := context.WithTimeout(context.Background(), drainTimeout)
 			defer cancel()
 			_ = n.rt.Shutdown(ctx)
 		}()
@@ -217,7 +211,7 @@ func (n *Node) Close() error {
 		n.http.Close()
 	}
 	n.wg.Wait()
-	ctx, cancel := context.WithTimeout(context.Background(), n.cfg.DrainTimeout)
+	ctx, cancel := context.WithTimeout(context.Background(), drainTimeout)
 	defer cancel()
 	_ = n.rt.Shutdown(ctx)
 	return err
@@ -382,7 +376,7 @@ func (n *Node) runDecode(conn net.Conn, job DecodeJob) error {
 	}
 	sent := 0
 	for tok := range st.Tokens() {
-		if err := writeJSONTimeout(conn, n.cfg.FrameTimeout, netsim.MsgToken, TokenMsg{Index: tok.Index, ID: tok.ID}); err != nil {
+		if err := writeJSONTimeout(conn, n.cfg.FrameTimeout, netsim.MsgToken, tok); err != nil {
 			return err
 		}
 		sent++

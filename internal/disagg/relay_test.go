@@ -386,9 +386,9 @@ func TestRelayReplayMustMatch(t *testing.T) {
 	if len(want) < 4 {
 		t.Fatalf("reference stream too short to split: %v", want)
 	}
-	honest, stopHonest := stubReplica(t, []TokenMsg{{0, want[0]}, {1, want[1]}, {2, want[2]}})
+	honest, stopHonest := stubReplica(t, []TokenMsg{{Index: 0, ID: want[0]}, {Index: 1, ID: want[1]}, {Index: 2, ID: want[2]}})
 	defer stopHonest()
-	liar, stopLiar := stubReplica(t, []TokenMsg{{0, want[0]}, {1, (want[1] + 1) % model.Toy().Vocab}})
+	liar, stopLiar := stubReplica(t, []TokenMsg{{Index: 0, ID: want[0]}, {Index: 1, ID: (want[1] + 1) % model.Toy().Vocab}})
 	defer stopLiar()
 	p, err := NewNode(NodeConfig{Addr: "127.0.0.1:0", Role: "prefill", Serve: testServeConfig()})
 	if err != nil {

@@ -16,6 +16,7 @@ import (
 	"github.com/hackkv/hack/internal/metrics"
 	"github.com/hackkv/hack/internal/model"
 	"github.com/hackkv/hack/internal/netsim"
+	"github.com/hackkv/hack/internal/serve"
 )
 
 // RouterConfig parameterizes a router.
@@ -36,8 +37,6 @@ type RouterConfig struct {
 	Spec       model.Spec
 	ModelSeed  int64
 	MethodName string
-	// DialTimeout bounds each dial+handshake (default 2s).
-	DialTimeout time.Duration
 	// FrameTimeout bounds each framed read/write inside a KV transfer or
 	// token stream (default 10s), so a half-open peer surfaces as a
 	// retryable timeout instead of wedging the request forever. Negative
@@ -47,22 +46,19 @@ type RouterConfig struct {
 	HealthInterval time.Duration
 	// Decode retries run under a wall-clock RetryBudget (default 5s)
 	// with jittered exponential backoff starting at RetryBackoff
-	// (default 50ms, doubling, jittered by ±RetryJitter/2 — default
-	// 0.2). RetryMax additionally caps the retry count: 0 selects the
-	// default cap (2, the pre-budget behavior), negative means
-	// budget-only (no count cap).
+	// (default 50ms, doubling, jittered by ±10%). RetryMax additionally
+	// caps the retry count: 0 selects the default cap (2, the
+	// pre-budget behavior), negative means budget-only (no count cap).
 	RetryMax     int
 	RetryBackoff time.Duration
 	RetryBudget  time.Duration
-	RetryJitter  float64
 	// Each decode replica sits behind a circuit breaker that opens after
-	// BreakerThreshold consecutive transport failures (default 3) and
-	// half-opens after BreakerCooldown (default 500ms), admitting one
-	// probe. An open breaker removes the replica from placement even
-	// while /healthz still answers — the half-open-link case health
-	// polling cannot see.
-	BreakerThreshold int
-	BreakerCooldown  time.Duration
+	// breakerThreshold consecutive transport failures and half-opens
+	// after BreakerCooldown (default 500ms), admitting one probe. An
+	// open breaker removes the replica from placement even while
+	// /healthz still answers — the half-open-link case health polling
+	// cannot see.
+	BreakerCooldown time.Duration
 	// Dialer replaces the network dialer on every link the router opens
 	// (nil means the real network). Chaos, if set, is the fault injector
 	// whose stats join the Report and /metrics; when Dialer is nil it
@@ -71,6 +67,18 @@ type RouterConfig struct {
 	Dialer chaos.Dialer
 	Chaos  *chaos.Injector
 }
+
+// The router's fixed link policy.
+const (
+	// dialTimeout bounds each dial+handshake and each /healthz poll.
+	dialTimeout = 2 * time.Second
+	// breakerThreshold is the consecutive transport failures that open
+	// a replica's breaker.
+	breakerThreshold = 3
+	// retryJitter randomizes each retry delay by ±retryJitter/2 of its
+	// value.
+	retryJitter = 0.2
+)
 
 // Request is one generation job submitted to the router.
 type Request struct {
@@ -83,9 +91,10 @@ type Request struct {
 // Stream delivers one routed request's tokens, mirroring serve.Stream:
 // Tokens() yields them in order and closes when the request finishes;
 // Err() reports why (nil, ErrNoPrefill, ErrNoReplicas, ErrTransferFailed,
-// ErrStreamDiverged, or the context error).
+// ErrStreamDiverged, or the context error). It satisfies the HTTP
+// layer's stream interface as it is.
 type Stream struct {
-	tokens chan TokenMsg
+	tokens chan serve.Token
 	closed chan struct{}
 	err    error
 	once   sync.Once
@@ -93,7 +102,7 @@ type Stream struct {
 
 // Tokens returns the ordered token channel. It is buffered to the
 // request's token budget, so a slow consumer never stalls a failover.
-func (s *Stream) Tokens() <-chan TokenMsg { return s.tokens }
+func (s *Stream) Tokens() <-chan serve.Token { return s.tokens }
 
 // Err reports the request's terminal error; it blocks until the stream
 // has been sealed.
@@ -214,9 +223,6 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 	if cfg.MethodName == "" {
 		cfg.MethodName = "hack"
 	}
-	if cfg.DialTimeout <= 0 {
-		cfg.DialTimeout = 2 * time.Second
-	}
 	if cfg.FrameTimeout == 0 {
 		cfg.FrameTimeout = defaultFrameTimeout
 	}
@@ -226,12 +232,6 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 	if cfg.RetryMax == 0 {
 		cfg.RetryMax = 2
 	}
-	if cfg.RetryBackoff <= 0 {
-		cfg.RetryBackoff = 50 * time.Millisecond
-	}
-	if cfg.RetryBudget <= 0 {
-		cfg.RetryBudget = 5 * time.Second
-	}
 	if cfg.Dialer == nil && cfg.Chaos != nil {
 		cfg.Dialer = cfg.Chaos.Dialer(nil)
 	}
@@ -239,7 +239,7 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 		cfg:       cfg,
 		prefills:  append([]string(nil), cfg.Prefills...),
 		linkBytes: make(map[string]int64),
-		hc:        &http.Client{Timeout: cfg.DialTimeout},
+		hc:        &http.Client{Timeout: dialTimeout},
 		closed:    make(chan struct{}),
 	}
 	r.hello = netsim.Hello{
@@ -275,7 +275,7 @@ func (r *Router) HTTPAddr() string {
 // dial opens a link through the router's (possibly fault-injected)
 // dialer and runs the handshake.
 func (r *Router) dial(addr string) (net.Conn, netsim.Hello, error) {
-	return dialWith(r.cfg.Dialer, addr, r.hello, r.cfg.DialTimeout)
+	return dialWith(r.cfg.Dialer, addr, r.hello, dialTimeout)
 }
 
 // AddReplica registers a decode replica and probes it once. A peer that
@@ -284,7 +284,7 @@ func (r *Router) dial(addr string) (net.Conn, netsim.Hello, error) {
 // picked up by the health monitor when it appears.
 func (r *Router) AddReplica(addr string) error {
 	rep := &replica{addr: addr,
-		breaker: chaos.NewBreaker(r.cfg.BreakerThreshold, r.cfg.BreakerCooldown)}
+		breaker: chaos.NewBreaker(breakerThreshold, r.cfg.BreakerCooldown)}
 	conn, peer, err := r.dial(addr)
 	if err == nil {
 		conn.Close()
@@ -407,62 +407,40 @@ func (r *Router) WritePrometheus(w io.Writer) error { return r.writeProm(w) }
 // writeProm renders the router counters in Prometheus text format.
 func (r *Router) writeProm(w io.Writer) error {
 	rep := r.Report()
-	var err error
-	emit := func(name, help string, v int64) {
-		if err == nil {
-			_, err = fmt.Fprintf(w,
-				"# HELP hackserved_router_%s %s\n# TYPE hackserved_router_%s counter\nhackserved_router_%s %d\n",
-				name, help, name, name, v)
-		}
-	}
-	emit("requests_total", "Requests submitted.", rep.Requests)
-	emit("completed_total", "Requests completed.", rep.Completed)
-	emit("failed_total", "Requests failed.", rep.Failed)
-	emit("retries_total", "Decode attempts retried.", rep.Retries)
-	emit("failovers_total", "Transfers failed over to another replica.", rep.Failovers)
-	if err != nil {
-		return err
-	}
+	p := metrics.NewProm(w)
+	p.Counter("hackserved_router_requests_total", "Requests submitted.", rep.Requests)
+	p.Counter("hackserved_router_completed_total", "Requests completed.", rep.Completed)
+	p.Counter("hackserved_router_failed_total", "Requests failed.", rep.Failed)
+	p.Counter("hackserved_router_retries_total", "Decode attempts retried.", rep.Retries)
+	p.Counter("hackserved_router_failovers_total", "Transfers failed over to another replica.", rep.Failovers)
 
 	// Per-replica breaker state (0 closed, 1 open, 2 half-open) plus
 	// aggregated breaker counters.
 	var trips, probes, refusals, open int64
-	_, err = fmt.Fprintf(w, "# HELP breaker_state Circuit breaker position per decode replica (0=closed, 1=open, 2=half-open).\n# TYPE breaker_state gauge\n")
+	p.Head("breaker_state", "Circuit breaker position per decode replica (0=closed, 1=open, 2=half-open).", "gauge")
 	for _, rs := range rep.Replicas {
-		state := int64(0)
+		state := "0"
 		switch rs.Breaker.State {
 		case "open":
-			state = 1
+			state = "1"
 			open++
 		case "half-open":
-			state = 2
+			state = "2"
 			open++
 		}
-		if err == nil {
-			_, err = fmt.Fprintf(w, "breaker_state{replica=%q} %d\n", rs.Addr, state)
-		}
+		p.Sample("breaker_state", fmt.Sprintf("{replica=%q}", rs.Addr), state)
 		trips += rs.Breaker.Trips
 		probes += rs.Breaker.Probes
 		refusals += rs.Breaker.Refusals
 	}
-	emit2 := func(name, help string, v int64) {
-		if err == nil {
-			_, err = fmt.Fprintf(w,
-				"# HELP breaker_%s %s\n# TYPE breaker_%s counter\nbreaker_%s %d\n",
-				name, help, name, name, v)
-		}
+	p.Counter("breaker_trips_total", "Breaker open transitions across replicas.", trips)
+	p.Counter("breaker_probes_total", "Half-open probes granted across replicas.", probes)
+	p.Counter("breaker_refusals_total", "Placements refused by open breakers.", refusals)
+	p.Gauge("breaker_open", "Replicas currently open or half-open.", open)
+	if p.Err() == nil && r.cfg.Chaos != nil {
+		return r.cfg.Chaos.WritePrometheus(w)
 	}
-	emit2("trips_total", "Breaker open transitions across replicas.", trips)
-	emit2("probes_total", "Half-open probes granted across replicas.", probes)
-	emit2("refusals_total", "Placements refused by open breakers.", refusals)
-	if err == nil {
-		_, err = fmt.Fprintf(w,
-			"# HELP breaker_open Replicas currently open or half-open.\n# TYPE breaker_open gauge\nbreaker_open %d\n", open)
-	}
-	if err == nil && r.cfg.Chaos != nil {
-		err = r.cfg.Chaos.WritePrometheus(w)
-	}
-	return err
+	return p.Err()
 }
 
 // healthLoop polls every replica's /healthz: 200 marks it healthy, 503
@@ -630,7 +608,7 @@ func (r *Router) Submit(ctx context.Context, req Request) (*Stream, error) {
 	if buf <= 0 || buf > 4096 {
 		buf = 4096
 	}
-	st := &Stream{tokens: make(chan TokenMsg, buf+1), closed: make(chan struct{})}
+	st := &Stream{tokens: make(chan serve.Token, buf+1), closed: make(chan struct{})}
 	r.requests.Add(1)
 	go func() {
 		defer r.wg.Done()
@@ -871,7 +849,7 @@ func (r *Router) runDecode(ctx context.Context, id uint64, req Request, x *trans
 	// Jitter is seeded per request, so concurrent failovers desynchronize
 	// instead of thundering back in lockstep, yet a replayed request
 	// reproduces its exact retry schedule.
-	bo := chaos.NewBackoff(r.cfg.RetryBackoff, 0, r.cfg.RetryJitter, r.cfg.RetryBudget, int64(id))
+	bo := chaos.NewBackoff(r.cfg.RetryBackoff, 0, retryJitter, r.cfg.RetryBudget, int64(id))
 	var d delivery
 	var lastErr error
 	var lastFailed *replica

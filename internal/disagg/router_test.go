@@ -75,7 +75,7 @@ func TestRemoveReplicaMidStream(t *testing.T) {
 	}
 
 	release := make(chan struct{})
-	prefix := []TokenMsg{{0, want[0]}, {1, want[1]}, {2, want[2]}}
+	prefix := []TokenMsg{{Index: 0, ID: want[0]}, {Index: 1, ID: want[1]}, {Index: 2, ID: want[2]}}
 	stub, stopStub := pausingStub(t, prefix, release)
 	defer stopStub()
 

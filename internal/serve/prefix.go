@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"github.com/hackkv/hack/internal/attention"
-	"github.com/hackkv/hack/internal/kvcache"
 	"github.com/hackkv/hack/internal/model"
 	"github.com/hackkv/hack/internal/netsim"
 	"github.com/hackkv/hack/internal/quant"
@@ -13,13 +12,14 @@ import (
 // This file is the serving half of the shared-prefix KV tier: requests
 // whose prompts share a block-aligned token prefix reuse the quantized
 // KV pages a previous request already produced, skipping prefill over
-// the matched span. The index side lives in kvcache.PrefixIndex (a trie
-// over Π-aligned blocks with ref-counted LRU eviction under a byte
-// budget); the numeric side in attention's HACK heads, whose
-// position-keyed rounding makes a restored page bit-identical to the
-// cold path for the same (prompt, seed), whatever prompt produced it.
+// the matched span. The index side is prefixCache (prefixcache.go), a
+// trie over Π-aligned blocks that counts its resident pages against a
+// byte budget, with ref-counted LRU eviction; the numeric side lives in
+// attention's HACK heads, whose position-keyed rounding makes a
+// restored page bit-identical to the cold path for the same
+// (prompt, seed), whatever prompt produced it.
 //
-// The tier is one in-process index per server. Its pages are netsim KV
+// The tier is one in-process trie per server. Its pages are netsim KV
 // frames — the same framing the disaggregated wire uses — so a cached
 // block holds exactly the bytes a KV handoff would ship.
 
@@ -72,7 +72,7 @@ func (m *PrefixMatch) Release() {
 }
 
 // PrefixCacheBackend is the storage tier behind the shared-prefix
-// cache. It has one implementation, the in-process index NewPrefixCache
+// cache. It has one implementation, the in-process trie NewPrefixCache
 // builds; the interface is kept for the frozen benchmark harness and so
 // tests can substitute a failing fake. Implementations must be safe for
 // concurrent use; seed namespaces isolate quantizer streams.
@@ -104,59 +104,6 @@ func prefixBytesPerToken(spec model.Spec, pi, kvBits int) int {
 	perBlock := perHead * spec.Layers * spec.Heads
 	return (perBlock + pi - 1) / pi
 }
-
-// localPrefixCache is the in-process backend: a kvcache.PrefixIndex
-// whose payloads are per-block frame sets.
-type localPrefixCache struct {
-	ix *kvcache.PrefixIndex
-}
-
-// NewPrefixCache builds the in-process prefix tier: resident pages are
-// bounded by budgetBytes, in pages of pageTokens tokens (which must be
-// a positive multiple of the quantization partition pi — the typed
-// kvcache.PageAlignmentError otherwise) at bytesPerToken each.
-func NewPrefixCache(budgetBytes int64, pageTokens, pi, bytesPerToken int) (PrefixCacheBackend, error) {
-	ix, err := kvcache.NewPrefixIndex(budgetBytes, pageTokens, pi, bytesPerToken)
-	if err != nil {
-		return nil, err
-	}
-	return &localPrefixCache{ix: ix}, nil
-}
-
-func (c *localPrefixCache) Lookup(seed int64, prompt []int, maxTokens int) (*PrefixMatch, error) {
-	m := c.ix.Lookup(seed, prompt, maxTokens)
-	if m == nil {
-		return nil, nil
-	}
-	out := &PrefixMatch{Tokens: m.Tokens, release: m.Release}
-	for _, p := range m.Payloads {
-		blk, ok := p.([]*netsim.KVFrame)
-		if !ok {
-			m.Release()
-			return nil, fmt.Errorf("serve: prefix payload holds %T, want KV frames", p)
-		}
-		out.Blocks = append(out.Blocks, blk)
-	}
-	return out, nil
-}
-
-func (c *localPrefixCache) Insert(seed int64, prompt []int, upTo int, build func(lo, hi int) ([]*netsim.KVFrame, error)) (int, error) {
-	return c.ix.Insert(seed, prompt, upTo, func(lo, hi int) (any, error) {
-		return build(lo, hi)
-	})
-}
-
-func (c *localPrefixCache) Stats() (PrefixCacheStats, error) {
-	st := c.ix.Stats()
-	return PrefixCacheStats{
-		Hits: st.Hits, Misses: st.Misses,
-		Inserts: st.Inserts, InsertRejected: st.InsertRejected, Evictions: st.Evictions,
-		TokensReused: st.ReusedTokens, BytesSaved: st.BytesSaved,
-		Nodes: st.Nodes, BytesUsed: st.BytesUsed, BytesBudget: st.BytesBudget,
-	}, nil
-}
-
-func (c *localPrefixCache) Close() error { return nil }
 
 // prefixTier is the server's view of an enabled prefix cache. The
 // server builds the backend and closes it on Shutdown. A failing

@@ -168,9 +168,10 @@ func TestPrefixCacheEvictionUnderPressure(t *testing.T) {
 }
 
 // TestPrefixCacheConfigValidation pins tier construction errors:
-// backends that cannot page their cache are rejected outright. (Pages
-// are one partition, so the tier cannot be misaligned; kvcache's
-// TestPageAlignmentError pins NewPrefixIndex's own check.)
+// backends that cannot page their cache are rejected outright, and so
+// are budgets that buy no page. (Pages are one partition, so the tier
+// cannot be misaligned; TestNewPrefixCacheValidation pins
+// NewPrefixCache's own check.)
 func TestPrefixCacheConfigValidation(t *testing.T) {
 	var cfg Config
 	for name, backend := range map[string]BackendFactory{
@@ -191,6 +192,11 @@ func TestPrefixCacheConfigValidation(t *testing.T) {
 	cfg = prefixServerConfig(-1)
 	if _, err := New(cfg); err == nil {
 		t.Fatal("negative budget accepted")
+	}
+	// One byte short of a page of 8 tokens at the Toy spec's page cost.
+	cfg = prefixServerConfig(int64(8*prefixBytesPerToken(model.Toy(), 8, 2)) - 1)
+	if _, err := New(cfg); err == nil || !strings.Contains(err.Error(), "below one page") {
+		t.Fatalf("budget below one page: %v", err)
 	}
 }
 
