@@ -375,7 +375,6 @@ func routerFleet(t *testing.T, maxNew int) *hack.DisaggServer {
 	decode := start(hack.RoleDecode)
 	return start(hack.RoleRouter,
 		hack.WithPeers([]string{prefill.WireAddr()}, []string{decode.WireAddr()}),
-		hack.WithDisaggConfig(hack.DisaggConfig{HealthInterval: time.Hour}),
 	)
 }
 

@@ -31,7 +31,8 @@ const (
 	// run.
 	RoleDecode Role = "decode"
 	// RoleRouter fronts the deployment: it drives prefill, places each
-	// decode on the least-loaded healthy replica, and proxies tokens.
+	// decode on the least-loaded replica in placement, and proxies
+	// tokens.
 	RoleRouter Role = "router"
 )
 
@@ -83,7 +84,8 @@ type DisaggConfig struct {
 	// (prefill and decode roles; default 127.0.0.1:0).
 	WireAddr string
 	// HTTPAddr serves the node's /healthz and /metrics; empty disables
-	// it (the router polls decode replicas' endpoints for health).
+	// it. /healthz is for orchestrators such as docker-compose: the
+	// router judges replicas by their wire jobs and handshakes alone.
 	HTTPAddr string
 	// NodeID names the node in handshakes (default: the wire address).
 	NodeID string
@@ -91,8 +93,10 @@ type DisaggConfig struct {
 	// its prefills on its serving runtime's prefill workers, sized by
 	// ServeConfig.PrefillWorkers.
 	MaxConcurrentPrefills int
-	// HealthInterval is the router's /healthz polling period (default
-	// 500ms).
+	// Deprecated: HealthInterval is ignored. The router polls no
+	// /healthz: a replica's breaker and drain state come from its wire
+	// jobs, and the router redials a replica out of placement every
+	// breaker cooldown.
 	HealthInterval time.Duration
 	// ChaosScript names a fault-injection script (see ChaosScripts) the
 	// router replays against its own links after startup — a chaos-testing
@@ -140,8 +144,8 @@ type (
 var (
 	// ErrNoPrefill means no healthy prefill node could be reached.
 	ErrNoPrefill = disagg.ErrNoPrefill
-	// ErrNoReplicas means no healthy, non-draining decode replica was
-	// available for placement.
+	// ErrNoReplicas means no decode replica was in placement: every
+	// one was draining or had its circuit breaker open.
 	ErrNoReplicas = disagg.ErrNoReplicas
 	// ErrTransferFailed means a KV transfer failed on every retry.
 	ErrTransferFailed = disagg.ErrTransferFailed
@@ -210,8 +214,7 @@ func (e *Engine) ListenDisagg(ctx context.Context) (*DisaggServer, error) {
 			Prefills: e.peerPrefills, Decodes: e.peerDecodes,
 			NodeID: dc.NodeID, HTTPAddr: dc.HTTPAddr,
 			Spec: sc.Model, ModelSeed: sc.ModelSeed, MethodName: e.method.Name,
-			HealthInterval: dc.HealthInterval,
-			Chaos:          inj,
+			Chaos: inj,
 		})
 		if err == nil && inj != nil {
 			script, serr := chaos.ScriptNamed(dc.ChaosScript)

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"strings"
 	"testing"
-	"time"
 
 	"github.com/hackkv/hack"
 )
@@ -65,7 +64,6 @@ func TestDisaggFacadeByteIdentical(t *testing.T) {
 	router, err := disaggEngine(t, hack.RoleRouter,
 		hack.WithPeers([]string{prefill.WireAddr()},
 			[]string{decodes[0].WireAddr(), decodes[1].WireAddr()}),
-		hack.WithDisaggConfig(hack.DisaggConfig{HealthInterval: time.Hour}),
 	).ListenDisagg(ctx)
 	if err != nil {
 		t.Fatal(err)
@@ -144,9 +142,6 @@ func TestDisaggFacadeRoleErrors(t *testing.T) {
 	// ErrNoReplicas surfaces through the facade sentinels.
 	r, err := disaggEngine(t, hack.RoleRouter,
 		hack.WithPeers([]string{p.WireAddr()}, nil),
-		hack.WithDisaggConfig(hack.DisaggConfig{
-			HealthInterval: time.Hour,
-		}),
 	).ListenDisagg(context.Background())
 	if err != nil {
 		t.Fatal(err)
@@ -167,7 +162,6 @@ func TestDisaggFacadeRoleErrors(t *testing.T) {
 	mis, err := disaggEngine(t, hack.RoleRouter,
 		hack.WithPeers([]string{p.WireAddr()}, nil),
 		hack.WithServeConfig(hack.ServeConfig{ModelSeed: 99}),
-		hack.WithDisaggConfig(hack.DisaggConfig{HealthInterval: time.Hour}),
 	).ListenDisagg(context.Background())
 	if err != nil {
 		t.Fatal(err)

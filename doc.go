@@ -119,7 +119,10 @@
 // prefill node when one is full or draining, and places decodes with
 // load-aware placement
 // (pending KV bytes + in-flight, the simulator's LoadAware signals),
-// /healthz health polling, drain awareness, and retry/failover. The
+// drain awareness, and retry/failover. A replica's circuit breaker and
+// drain state are its whole health, both fed by the router's own wire
+// jobs and handshakes; the router polls no /healthz, which nodes still
+// serve for docker-compose and other orchestrators. The
 // router relays and logs the KV frames: each is forwarded to the decode
 // replica as it lands, and a failover replays the log on a fresh
 // replica without duplicating or dropping tokens:
@@ -132,8 +135,8 @@
 //
 // The handshake carries method, model spec and seed, so mismatched
 // nodes refuse to pair (ErrHandshakeRefused) rather than silently
-// diverge. WithDisaggConfig sets addresses, health polling and chaos
-// drills; cmd/hackserved exposes the same roles as a daemon
+// diverge. WithDisaggConfig sets addresses and chaos drills;
+// cmd/hackserved exposes the same roles as a daemon
 // (-role prefill|decode|router).
 //
 // # Fault tolerance and chaos testing
@@ -146,8 +149,8 @@
 // replica with token streams deduplicated by index. Repeated link
 // failures trip a per-replica circuit breaker (consecutive failures
 // open it; after a cooldown a half-open probe decides) that steers
-// placement away until the health monitor's out-of-band probe
-// re-closes it; breaker state rides DisaggReport.Replicas and the
+// placement away until the router's redial, every cooldown, completes
+// a handshake and re-closes it; breaker state rides DisaggReport.Replicas and the
 // router's Prometheus metrics. Timeouts, retry limits and breaker
 // thresholds are fixed defaults. This is the runtime's only breaker:
 // the shared-prefix tier is in-process, and a tier error falls back to

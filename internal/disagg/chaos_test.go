@@ -40,7 +40,6 @@ func newChaosCluster(t *testing.T, nDecode int, inj *chaos.Injector, tweak func(
 		Prefills:        []string{p.Addr()},
 		ModelSeed:       testModelSeed,
 		HTTPAddr:        "127.0.0.1:0",
-		HealthInterval:  10 * time.Millisecond,
 		FrameTimeout:    500 * time.Millisecond,
 		RetryBackoff:    5 * time.Millisecond,
 		RetryMax:        -1, // the scripts outlast a fixed count: budget-only
@@ -220,17 +219,10 @@ func TestChaosScriptsZeroTokenLoss(t *testing.T) {
 				want[i] = refTokens(t, ref, req)
 			}
 
-			var tweak func(*RouterConfig)
-			if name == "kill-decode" {
-				// No health polling: the kill is discovered by failed
-				// dials alone, guaranteeing the retry path runs.
-				tweak = func(rc *RouterConfig) { rc.HealthInterval = time.Hour }
-			}
-
 			before := runtime.NumGoroutine()
 			func() {
 				inj := chaos.NewInjector(7)
-				c, closeAll := newChaosCluster(t, 2, inj, tweak)
+				c, closeAll := newChaosCluster(t, 2, inj, nil)
 				defer closeAll()
 
 				ctx, cancel := context.WithCancel(context.Background())
@@ -286,8 +278,8 @@ func TestChaosScriptsZeroTokenLoss(t *testing.T) {
 						t.Fatal("partition refused no dials")
 					}
 					// Recovery is observable, not just survivable: the
-					// health monitor's out-of-band probe re-closes the
-					// partitioned replica's breaker.
+					// router's redial of the replica out of placement
+					// re-closes the partitioned replica's breaker.
 					waitReplicaBreakerClosed(t, c.router, c.decodes[0].Addr())
 					// Breaker and chaos state surface on /metrics.
 					resp, err := http.Get("http://" + c.router.HTTPAddr() + "/metrics?format=text")

@@ -303,7 +303,7 @@ func corruptingStub(t *testing.T, tokens []TokenMsg, finale func(net.Conn)) (add
 				for {
 					mt, _, err := netsim.ReadMessage(conn)
 					if err != nil {
-						return // health probes just close
+						return // the router's redials just close
 					}
 					if mt == netsim.MsgTransferEnd {
 						break
@@ -365,7 +365,7 @@ func TestRouterFailsOverOnCorruptTokenStream(t *testing.T) {
 			defer d.Close()
 			r, err := NewRouter(RouterConfig{
 				Prefills: []string{p.Addr()}, Decodes: []string{stub, d.Addr()},
-				ModelSeed: testModelSeed, HealthInterval: time.Hour,
+				ModelSeed: testModelSeed,
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -449,7 +449,7 @@ func TestRouterRetriesPrefillOnCorruptTransfer(t *testing.T) {
 	// The corrupting stub is first in round-robin order for request 1.
 	r, err := NewRouter(RouterConfig{
 		Prefills: []string{ln.Addr().String(), p.Addr()}, Decodes: []string{d.Addr()},
-		ModelSeed: testModelSeed, HealthInterval: time.Hour,
+		ModelSeed: testModelSeed,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -487,7 +487,6 @@ func TestRouterRetriesPrefillOnCorruptTransfer(t *testing.T) {
 func TestRouterRetryAvoidsFailedReplica(t *testing.T) {
 	inj := chaos.NewInjector(7)
 	c, closeAll := newChaosCluster(t, 2, inj, func(rc *RouterConfig) {
-		rc.HealthInterval = time.Hour
 		rc.RetryMax = 2 // the default bounded attempt cap, not budget-only
 	})
 	defer closeAll()

@@ -19,11 +19,16 @@
 //     the decode replica as it lands, so the prefill→router and
 //     router→decode crossings overlap. It fronts N decode replicas with
 //     FlowKV-style load-aware placement (the same drain/pending-KV
-//     signals sim's schedulers score), tracks replica health via
-//     /healthz heartbeats and connection-level failures, removes
-//     draining replicas from placement, and on replica death replays
+//     signals sim's schedulers score) and on replica death replays
 //     the log from its first frame on another replica with bounded
-//     backoff.
+//     backoff. A replica's placement state is its circuit breaker and
+//     its draining bit, fed only by the router's wire jobs: transport
+//     faults feed the breaker, a "draining" reply marks the drain, and
+//     every breaker cooldown the router dials each replica out of
+//     placement, whose completed handshake closes the breaker and
+//     whose Hello says whether it still drains. The router makes no
+//     HTTP request; nodes serve /healthz and /metrics for
+//     orchestrators.
 //
 // Because every quantizer draw is a pure function of (seed, operand,
 // token position), a restored cache continues exactly where the prefill
@@ -56,8 +61,8 @@ const defaultFrameTimeout = 10 * time.Second
 var (
 	// ErrNoPrefill means no healthy prefill node could be reached.
 	ErrNoPrefill = errors.New("disagg: no healthy prefill node")
-	// ErrNoReplicas means no healthy, non-draining decode replica was
-	// available for placement.
+	// ErrNoReplicas means no decode replica was in placement: every
+	// one was draining or had its circuit breaker open.
 	ErrNoReplicas = errors.New("disagg: no healthy decode replica")
 	// ErrTransferFailed means the KV transfer (or the decode stream after
 	// it) failed on every retry attempt.

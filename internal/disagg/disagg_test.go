@@ -100,9 +100,6 @@ func newCluster(t *testing.T, nDecode int, tweak func(*RouterConfig)) *cluster {
 		Prefills:  []string{p.Addr()},
 		ModelSeed: testModelSeed,
 		HTTPAddr:  "127.0.0.1:0",
-		// A long poll interval by default: tests that need the monitor
-		// shorten it; everything else stays deterministic.
-		HealthInterval: time.Hour,
 	}
 	for i := 0; i < nDecode; i++ {
 		d, err := NewNode(NodeConfig{
@@ -215,8 +212,8 @@ func TestLoopbackScenariosByteIdentical(t *testing.T) {
 
 	// Chaos: kill one decode replica outright (connections severed, no
 	// drain) and replay a scenario. The router's first attempts still
-	// route to the dead replica — its health flag flips only on the
-	// failed dial — so the pass exercises retry, and streams must stay
+	// route to the dead replica — its breaker opens only after failed
+	// dials — so the pass exercises retry, and streams must stay
 	// byte-identical.
 	t.Run("replica-kill", func(t *testing.T) {
 		c.decodes[0].Kill()
@@ -330,7 +327,7 @@ func TestFailoverMidStream(t *testing.T) {
 		// places the first attempt on it deterministically.
 		r, err := NewRouter(RouterConfig{
 			Prefills: []string{p.Addr()}, Decodes: []string{stub, d.Addr()},
-			ModelSeed: testModelSeed, HealthInterval: time.Hour,
+			ModelSeed: testModelSeed,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -377,14 +374,13 @@ func TestFailoverMidStream(t *testing.T) {
 	}
 }
 
-// TestDrainAwareRemoval drains the only replica and requires the health
-// monitor to pull it out of placement: new submissions fail with
-// ErrNoReplicas instead of landing on a draining node.
+// TestDrainAwareRemoval drains the only replica and requires the router
+// to learn the drain from the replica's own "draining" reply to a decode
+// job — it polls nothing — and then keep it out of placement: the next
+// submission fails with ErrNoReplicas instead of landing on a draining
+// node.
 func TestDrainAwareRemoval(t *testing.T) {
-	c := newCluster(t, 1, func(rc *RouterConfig) {
-		rc.HealthInterval = 20 * time.Millisecond
-		rc.RetryBackoff = 5 * time.Millisecond
-	})
+	c := newCluster(t, 1, func(rc *RouterConfig) { rc.RetryBackoff = 5 * time.Millisecond })
 	ref := newReference(t)
 
 	// Healthy first: one request round-trips.
@@ -402,17 +398,22 @@ func TestDrainAwareRemoval(t *testing.T) {
 		t.Fatalf("got %v, want %v", got, want)
 	}
 
+	// The replica's breaker is closed and it is not marked draining, so
+	// the router has no reason to dial it: the next decode job is what
+	// meets the drain.
 	c.decodes[0].Drain()
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		rep := c.router.Report()
-		if len(rep.Replicas) == 1 && rep.Replicas[0].Draining {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("health monitor never observed the drain: %+v", rep.Replicas)
-		}
-		time.Sleep(10 * time.Millisecond)
+	for !c.decodes[0].rt.Draining() {
+		time.Sleep(time.Millisecond)
+	}
+	st, err = c.router.Submit(context.Background(), req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := collectRouted(st); err == nil {
+		t.Fatal("a draining replica served a request")
+	}
+	if rep := c.router.Report(); len(rep.Replicas) != 1 || !rep.Replicas[0].Draining {
+		t.Fatalf("the draining reply did not mark the replica: %+v", rep.Replicas)
 	}
 
 	st, err = c.router.Submit(context.Background(), req)
@@ -447,7 +448,7 @@ func TestMismatchRefused(t *testing.T) {
 	// Decode tier: refused at AddReplica.
 	if _, err := NewRouter(RouterConfig{
 		Prefills: []string{p.Addr()}, Decodes: []string{d.Addr()},
-		ModelSeed: testModelSeed + 1, HealthInterval: time.Hour,
+		ModelSeed: testModelSeed + 1,
 	}); !errors.Is(err, netsim.ErrHandshakeRefused) {
 		t.Fatalf("mismatched decode replica accepted: %v", err)
 	}
@@ -455,7 +456,7 @@ func TestMismatchRefused(t *testing.T) {
 	// Prefill tier: refused at submission, terminally (no retry storm).
 	r, err := NewRouter(RouterConfig{
 		Prefills:  []string{p.Addr()},
-		ModelSeed: testModelSeed + 1, HealthInterval: time.Hour,
+		ModelSeed: testModelSeed + 1,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -213,7 +213,7 @@ func TestRouterZeroFailuresUnderHeaderFlips(t *testing.T) {
 				defer d.Close()
 				r, err := NewRouter(RouterConfig{
 					Prefills: []string{p.Addr()}, Decodes: []string{stub, d.Addr()},
-					ModelSeed: testModelSeed, HealthInterval: time.Hour,
+					ModelSeed: testModelSeed,
 				})
 				if err != nil {
 					t.Fatal(err)
@@ -290,7 +290,7 @@ func TestRouterZeroFailuresUnderHeaderFlips(t *testing.T) {
 				// The flipping stub is first in round-robin order.
 				r, err := NewRouter(RouterConfig{
 					Prefills: []string{ln.Addr().String(), p.Addr()}, Decodes: []string{d.Addr()},
-					ModelSeed: testModelSeed, HealthInterval: time.Hour,
+					ModelSeed: testModelSeed,
 				})
 				if err != nil {
 					t.Fatal(err)

@@ -10,8 +10,9 @@ import (
 	"github.com/hackkv/hack/internal/api"
 )
 
-// nodeHTTP is the per-node health/metrics endpoint the router polls:
-// GET /healthz answers 200 ("ok") or 503 ("draining"), and GET /metrics
+// nodeHTTP is the per-node health/metrics endpoint for orchestrators
+// (the router reads none of it): GET /healthz answers 200 ("ok") or 503
+// ("draining"), and GET /metrics
 // serves the node's snapshot as JSON or, under content negotiation, in
 // Prometheus text format (the same api.WantsPrometheus negotiation as
 // every serving role's /metrics).

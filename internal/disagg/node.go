@@ -126,7 +126,6 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 			return nil, err
 		}
 		n.http = h
-		n.hello.HTTPAddr = h.Addr()
 	}
 	n.wg.Add(1)
 	go n.acceptLoop()
@@ -170,9 +169,10 @@ func (n *Node) writeProm(w io.Writer) error {
 	return p.Err()
 }
 
-// Drain starts a graceful shutdown in the background: /healthz flips to
-// 503 immediately (the runtime is draining), in-flight requests finish,
-// and new wire jobs are refused with Kind "draining".
+// Drain starts a graceful shutdown in the background: the runtime is
+// draining at once, so /healthz answers 503 and every new connection's
+// Hello says Draining; in-flight requests finish, and new wire jobs are
+// refused with Kind "draining".
 func (n *Node) Drain() {
 	n.drainMu.Do(func() {
 		go func() {
@@ -257,13 +257,16 @@ func (n *Node) checkPeer(h netsim.Hello) error {
 	return nil
 }
 
-// handleConn runs the responder handshake then serves jobs, one at a
-// time, until the peer disconnects. A prefill job is MsgPrefill, then
+// handleConn runs the responder handshake, whose Hello carries whether
+// the runtime is draining, then serves jobs, one at a time, until the
+// peer disconnects. A prefill job is MsgPrefill, then
 // the KV frames and MsgTransferEnd back; a decode job is MsgDecode, the
 // KV frames and MsgTransferEnd, then the token stream back. A failed
 // job is answered with MsgDone and ends the connection.
 func (n *Node) handleConn(conn net.Conn) {
-	if _, err := netsim.AcceptHandshake(conn, n.hello, n.checkPeer); err != nil {
+	hello := n.hello
+	hello.Draining = n.rt.Draining()
+	if _, err := netsim.AcceptHandshake(conn, hello, n.checkPeer); err != nil {
 		return
 	}
 	for {
@@ -358,7 +361,9 @@ func (n *Node) runPrefill(conn net.Conn, job PrefillJob) error {
 }
 
 // runDecode collects the shipped KV frames, reconstructs the session,
-// and streams the decode loop's tokens back over the connection.
+// and streams the decode loop's tokens back over the connection. The
+// request's context ends with the job, so a token write that fails
+// because the router hung up also stops the runtime decoding for it.
 func (n *Node) runDecode(conn net.Conn, job DecodeJob) error {
 	sess, firstTok, err := n.adoptCache(conn, job)
 	if err != nil {
@@ -370,7 +375,9 @@ func (n *Node) runDecode(conn net.Conn, job DecodeJob) error {
 		EOS:          job.EOS,
 		Seed:         job.Seed,
 	}
-	st, err := n.rt.SubmitPrefilled(context.Background(), req, sess, firstTok)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	st, err := n.rt.SubmitPrefilled(ctx, req, sess, firstTok)
 	if err != nil {
 		return err
 	}

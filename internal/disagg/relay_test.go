@@ -253,7 +253,7 @@ func TestRelayCutsThrough(t *testing.T) {
 		writeJSON(conn, netsim.MsgDone, DoneMsg{Tokens: 1})
 	})
 	r, err := NewRouter(RouterConfig{Prefills: []string{prefill}, Decodes: []string{decode},
-		ModelSeed: testModelSeed, HealthInterval: time.Hour})
+		ModelSeed: testModelSeed})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -318,7 +318,7 @@ func TestRelayPrefillCutMidRelay(t *testing.T) {
 	}
 	defer healthy.Close()
 	r, err := NewRouter(RouterConfig{Prefills: []string{cut, healthy.Addr()}, Decodes: []string{decode},
-		ModelSeed: testModelSeed, HealthInterval: time.Hour})
+		ModelSeed: testModelSeed})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -360,7 +360,7 @@ func TestRelayReplaysLogWhileFilling(t *testing.T) {
 	// The dying replica registers first: equal load scores place the
 	// first attempt on it.
 	r, err := NewRouter(RouterConfig{Prefills: []string{prefill}, Decodes: []string{dies, survivor},
-		ModelSeed: testModelSeed, HealthInterval: time.Hour, RetryBackoff: time.Millisecond})
+		ModelSeed: testModelSeed, RetryBackoff: time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -396,7 +396,7 @@ func TestRelayReplayMustMatch(t *testing.T) {
 	}
 	defer p.Close()
 	r, err := NewRouter(RouterConfig{Prefills: []string{p.Addr()}, Decodes: []string{honest, liar},
-		ModelSeed: testModelSeed, HealthInterval: time.Hour, RetryBackoff: time.Millisecond})
+		ModelSeed: testModelSeed, RetryBackoff: time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}

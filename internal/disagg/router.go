@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"net/http"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -42,8 +41,6 @@ type RouterConfig struct {
 	// retryable timeout instead of wedging the request forever. Negative
 	// disables the deadline.
 	FrameTimeout time.Duration
-	// HealthInterval is the /healthz polling period (default 500ms).
-	HealthInterval time.Duration
 	// Decode retries run under a wall-clock RetryBudget (default 5s)
 	// with jittered exponential backoff starting at RetryBackoff
 	// (default 50ms, doubling, jittered by ±10%). RetryMax additionally
@@ -53,11 +50,14 @@ type RouterConfig struct {
 	RetryBackoff time.Duration
 	RetryBudget  time.Duration
 	// Each decode replica sits behind a circuit breaker that opens after
-	// breakerThreshold consecutive transport failures and half-opens
-	// after BreakerCooldown (default 500ms), admitting one probe. An
-	// open breaker removes the replica from placement even while
-	// /healthz still answers — the half-open-link case health polling
-	// cannot see.
+	// breakerThreshold consecutive transport failures of its wire jobs
+	// and half-opens after BreakerCooldown (default 500ms), admitting one
+	// probe. The breaker and the replica's draining bit are its whole
+	// placement state: it takes requests while the breaker is closed and
+	// it is not draining. Every BreakerCooldown the router dials each
+	// replica that is out of placement; a completed handshake closes the
+	// breaker, and the peer's Hello says whether it still drains. The
+	// router asks its peers nothing over HTTP.
 	BreakerCooldown time.Duration
 	// Dialer replaces the network dialer on every link the router opens
 	// (nil means the real network). Chaos, if set, is the fault injector
@@ -70,7 +70,7 @@ type RouterConfig struct {
 
 // The router's fixed link policy.
 const (
-	// dialTimeout bounds each dial+handshake and each /healthz poll.
+	// dialTimeout bounds each dial+handshake.
 	dialTimeout = 2 * time.Second
 	// breakerThreshold is the consecutive transport failures that open
 	// a replica's breaker.
@@ -119,13 +119,13 @@ func (s *Stream) finish(err error) {
 	})
 }
 
-// replica tracks one decode peer's health and load. The load signals
-// mirror the simulator's LoadAware scoring: pending KV bytes in flight
-// to the replica plus its in-flight request count.
+// replica tracks one decode peer's placement state and load. Its
+// breaker and draining bit are fed by the router's own wire jobs and
+// dials. The load signals mirror the simulator's LoadAware scoring:
+// pending KV bytes in flight to the replica plus its in-flight request
+// count.
 type replica struct {
 	addr     string
-	httpAddr atomic.Value // string
-	healthy  atomic.Bool
 	draining atomic.Bool
 	breaker  *chaos.Breaker
 
@@ -134,17 +134,9 @@ type replica struct {
 	requests  atomic.Int64
 }
 
-func (rep *replica) httpAddrStr() string {
-	if v, ok := rep.httpAddr.Load().(string); ok {
-		return v
-	}
-	return ""
-}
-
 // ReplicaStatus is one decode replica's row in a Report.
 type ReplicaStatus struct {
 	Addr           string              `json:"addr"`
-	Healthy        bool                `json:"healthy"`
 	Draining       bool                `json:"draining"`
 	Inflight       int64               `json:"inflight"`
 	PendingKVBytes int64               `json:"pending_kv_bytes"`
@@ -177,7 +169,7 @@ type Report struct {
 
 // Router fronts N decode replicas behind one submission API: it drives
 // prefill on a prefill node, relays and logs the KV frames — placing
-// the decode on the least-loaded healthy replica as soon as the first
+// the decode on the least-loaded replica in placement as soon as the first
 // frame lands and forwarding each frame as it arrives, while the log
 // is what makes failover possible — and proxies the token stream back,
 // deduplicating by token index across retries.
@@ -199,17 +191,16 @@ type Router struct {
 
 	linkMu    sync.Mutex
 	linkBytes map[string]int64
-	transferS []float64
+	transferS metrics.Ring
 
 	http   *nodeHTTP
-	hc     *http.Client
 	closed chan struct{}
 	once   sync.Once
 	wg     sync.WaitGroup
 }
 
-// NewRouter validates the config, probes the initial decode replicas,
-// and starts the health monitor.
+// NewRouter validates the config, dials the initial decode replicas,
+// and starts the rejoin loop.
 func NewRouter(cfg RouterConfig) (*Router, error) {
 	if len(cfg.Prefills) == 0 {
 		return nil, errors.New("disagg: router needs at least one prefill address")
@@ -226,8 +217,8 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 	if cfg.FrameTimeout == 0 {
 		cfg.FrameTimeout = defaultFrameTimeout
 	}
-	if cfg.HealthInterval <= 0 {
-		cfg.HealthInterval = 500 * time.Millisecond
+	if cfg.BreakerCooldown <= 0 {
+		cfg.BreakerCooldown = 500 * time.Millisecond
 	}
 	if cfg.RetryMax == 0 {
 		cfg.RetryMax = 2
@@ -239,7 +230,6 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 		cfg:       cfg,
 		prefills:  append([]string(nil), cfg.Prefills...),
 		linkBytes: make(map[string]int64),
-		hc:        &http.Client{Timeout: dialTimeout},
 		closed:    make(chan struct{}),
 	}
 	r.hello = netsim.Hello{
@@ -260,7 +250,7 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 		r.http = h
 	}
 	r.wg.Add(1)
-	go r.healthLoop()
+	go r.rejoinLoop()
 	return r, nil
 }
 
@@ -278,22 +268,23 @@ func (r *Router) dial(addr string) (net.Conn, netsim.Hello, error) {
 	return dialWith(r.cfg.Dialer, addr, r.hello, dialTimeout)
 }
 
-// AddReplica registers a decode replica and probes it once. A peer that
+// AddReplica registers a decode replica and dials it once. A peer that
 // answers the handshake with mismatched deployment parameters is
-// refused; one that is merely unreachable is registered unhealthy and
-// picked up by the health monitor when it appears.
+// refused. One that is merely unreachable is registered with that
+// failed dial charged to its breaker: its next failed dials open the
+// breaker, and the rejoin loop readmits it once a handshake completes.
 func (r *Router) AddReplica(addr string) error {
 	rep := &replica{addr: addr,
 		breaker: chaos.NewBreaker(breakerThreshold, r.cfg.BreakerCooldown)}
 	conn, peer, err := r.dial(addr)
-	if err == nil {
+	switch {
+	case err == nil:
 		conn.Close()
-		rep.healthy.Store(true)
-		if peer.HTTPAddr != "" {
-			rep.httpAddr.Store(peer.HTTPAddr)
-		}
-	} else if errors.Is(err, netsim.ErrHandshakeRefused) {
+		rep.draining.Store(peer.Draining)
+	case errors.Is(err, netsim.ErrHandshakeRefused):
 		return fmt.Errorf("disagg: replica %s: %w", addr, err)
+	default:
+		rep.breaker.Failure()
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -346,7 +337,7 @@ func isRetryable(err error) bool {
 	return errors.As(err, &oe)
 }
 
-// Close stops the health monitor and waits for in-flight submissions.
+// Close stops the rejoin loop and waits for in-flight submissions.
 func (r *Router) Close() error {
 	r.once.Do(func() {
 		r.mu.Lock() // serialize with Submit's closed-check + wg.Add
@@ -375,7 +366,7 @@ func (r *Router) Report() Report {
 	for k, v := range r.linkBytes {
 		out.LinkKVBytes[k] = v
 	}
-	samples := append([]float64(nil), r.transferS...)
+	samples := r.transferS.Snapshot()
 	r.linkMu.Unlock()
 	out.TransferSeconds = metrics.Summarize(samples)
 	r.mu.Lock()
@@ -384,7 +375,6 @@ func (r *Router) Report() Report {
 	for _, rep := range reps {
 		out.Replicas = append(out.Replicas, ReplicaStatus{
 			Addr:           rep.addr,
-			Healthy:        rep.healthy.Load(),
 			Draining:       rep.draining.Load(),
 			Inflight:       rep.inflight.Load(),
 			PendingKVBytes: rep.pendingKV.Load(),
@@ -443,13 +433,14 @@ func (r *Router) writeProm(w io.Writer) error {
 	return p.Err()
 }
 
-// healthLoop polls every replica's /healthz: 200 marks it healthy, 503
-// marks it draining (kept for visibility, skipped for placement), and a
-// transport error marks it unhealthy. Replicas without a known HTTP
-// address are probed over the wire instead.
-func (r *Router) healthLoop() {
+// rejoinLoop dials, every BreakerCooldown, each replica that is out of
+// placement: one whose breaker is not closed, and one marked draining.
+// pick risks a request on a tripped replica only when no replica's
+// breaker is closed, so with one replica absorbing every placement a
+// tripped or drained one would otherwise never rejoin.
+func (r *Router) rejoinLoop() {
 	defer r.wg.Done()
-	t := time.NewTicker(r.cfg.HealthInterval)
+	t := time.NewTicker(r.cfg.BreakerCooldown)
 	defer t.Stop()
 	for {
 		select {
@@ -461,76 +452,39 @@ func (r *Router) healthLoop() {
 		reps := append([]*replica(nil), r.replicas...)
 		r.mu.Unlock()
 		for _, rep := range reps {
-			r.probe(rep)
-			r.probeBreaker(rep)
+			if rep.draining.Load() || rep.breaker.State() != chaos.BreakerClosed {
+				r.probe(rep)
+			}
 		}
 	}
 }
 
-// probeBreaker runs the half-open probe out of band. pick only risks a
-// request-carrying probe when no closed-breaker replica exists, so with
-// one healthy peer absorbing all placements a tripped breaker would
-// otherwise stay open forever and the healed replica never rejoin. A
-// dial+handshake through the router's own dialer exercises the same
-// wire path that tripped the breaker — recovery re-admits the replica
-// without gambling a live request on it.
-func (r *Router) probeBreaker(rep *replica) {
-	if rep.breaker.State() == chaos.BreakerClosed {
+// probe dials one replica through the router's own dialer, so it
+// crosses the same wire path the replica's jobs do, without gambling a
+// live request on it. A completed handshake closes the breaker and
+// takes the peer's Hello as the word on its drain; a failed one counts
+// against the breaker. A breaker still cooling down, or whose probe
+// slot a request holds, is left alone.
+func (r *Router) probe(rep *replica) {
+	if !rep.breaker.Allow() {
 		return
 	}
-	if !rep.breaker.Allow() {
-		return // still cooling down, or a probe is already in flight
-	}
-	conn, _, err := r.dial(rep.addr)
+	conn, peer, err := r.dial(rep.addr)
 	if err != nil {
 		rep.breaker.Failure()
 		return
 	}
 	conn.Close()
 	rep.breaker.Success()
+	rep.draining.Store(peer.Draining)
 }
 
-func (r *Router) probe(rep *replica) {
-	if ha := rep.httpAddrStr(); ha != "" {
-		resp, err := r.hc.Get("http://" + ha + "/healthz")
-		if err != nil {
-			rep.healthy.Store(false)
-			return
-		}
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		switch resp.StatusCode {
-		case http.StatusOK:
-			rep.healthy.Store(true)
-			rep.draining.Store(false)
-		case http.StatusServiceUnavailable:
-			rep.healthy.Store(true)
-			rep.draining.Store(true)
-		default:
-			rep.healthy.Store(false)
-		}
-		return
-	}
-	conn, peer, err := r.dial(rep.addr)
-	if err != nil {
-		rep.healthy.Store(false)
-		return
-	}
-	conn.Close()
-	rep.healthy.Store(true)
-	if peer.HTTPAddr != "" {
-		rep.httpAddr.Store(peer.HTTPAddr)
-	}
-}
-
-// pick returns the healthy, non-draining replica with the lowest load
-// score — pending KV bytes plus an in-flight-request penalty, the wire
-// analogue of the simulator's LoadAware drain estimate. Replicas with a
-// tripped circuit breaker are skipped: the breaker covers the failure
-// mode /healthz cannot see, a replica whose HTTP side answers while its
-// wire side drops or corrupts every transfer. When every candidate's
-// breaker is tripped, pick offers the half-open probe slot to one of
-// them so a recovered replica can re-admit itself.
+// pick returns the non-draining replica with a closed breaker and the
+// lowest load score — pending KV bytes plus an in-flight-request
+// penalty, the wire analogue of the simulator's LoadAware drain
+// estimate. When every non-draining candidate's breaker is tripped,
+// pick offers the half-open probe slot to one of them so a recovered
+// replica can re-admit itself.
 //
 // avoid is the replica whose last attempt for this request just failed:
 // before its breaker has accumulated enough failures to trip, load-score
@@ -556,7 +510,7 @@ func (r *Router) pickExcluding(avoid *replica) *replica {
 	var best *replica
 	var bestScore int64
 	for _, rep := range reps {
-		if rep == avoid || !rep.healthy.Load() || rep.draining.Load() {
+		if rep == avoid || rep.draining.Load() {
 			continue
 		}
 		if rep.breaker.State() != chaos.BreakerClosed {
@@ -575,7 +529,7 @@ func (r *Router) pickExcluding(avoid *replica) *replica {
 		return best
 	}
 	for _, rep := range reps {
-		if rep == avoid || !rep.healthy.Load() || rep.draining.Load() {
+		if rep == avoid || rep.draining.Load() {
 			continue
 		}
 		if rep.breaker.Allow() {
@@ -825,7 +779,7 @@ func (r *Router) addLinkBytes(link string, n int64) {
 
 func (r *Router) addTransferSample(seconds float64) {
 	r.linkMu.Lock()
-	r.transferS = append(r.transferS, seconds)
+	r.transferS.Add(seconds)
 	r.linkMu.Unlock()
 }
 
@@ -935,7 +889,6 @@ func (r *Router) tryDecode(ctx context.Context, rep *replica, id uint64, req Req
 
 	conn, _, err := r.dial(rep.addr)
 	if err != nil {
-		rep.healthy.Store(false)
 		verdict = -1
 		return err, false
 	}
@@ -976,13 +929,12 @@ func (r *Router) tryDecode(ctx context.Context, rep *replica, id uint64, req Req
 		<-readerDone
 	}()
 
-	// fail classifies a transport failure: it marks the replica down and
-	// feeds its breaker, unless the real cause was our own cancellation.
+	// fail classifies a transport failure: it feeds the replica's
+	// breaker, unless the real cause was our own cancellation.
 	fail := func(e error) (error, bool) {
 		if ctx.Err() != nil {
 			return ctx.Err(), true
 		}
-		rep.healthy.Store(false)
 		verdict = -1
 		return e, false
 	}

@@ -2,12 +2,14 @@ package disagg
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"net"
 	"sync"
 	"testing"
 	"time"
 
+	"github.com/hackkv/hack/internal/chaos"
 	"github.com/hackkv/hack/internal/model"
 	"github.com/hackkv/hack/internal/netsim"
 	"github.com/hackkv/hack/internal/serve"
@@ -38,7 +40,7 @@ func pausingStub(t *testing.T, tokens []TokenMsg, release <-chan struct{}) (addr
 				for {
 					mt, _, err := netsim.ReadMessage(conn)
 					if err != nil {
-						return // health probes just close
+						return // the router's redials just close
 					}
 					if mt == netsim.MsgTransferEnd {
 						break
@@ -92,7 +94,7 @@ func TestRemoveReplicaMidStream(t *testing.T) {
 	// The stub registers first: equal load scores place attempt one on it.
 	r, err := NewRouter(RouterConfig{
 		Prefills: []string{p.Addr()}, Decodes: []string{stub, d.Addr()},
-		ModelSeed: testModelSeed, HealthInterval: time.Hour,
+		ModelSeed: testModelSeed,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -157,7 +159,7 @@ func TestSubmitCloseRace(t *testing.T) {
 	for round := 0; round < 8; round++ {
 		r, err := NewRouter(RouterConfig{
 			Prefills: []string{p.Addr()}, Decodes: []string{d.Addr()},
-			ModelSeed: testModelSeed, HealthInterval: time.Hour,
+			ModelSeed: testModelSeed,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -207,7 +209,7 @@ func TestRouterSkipsDrainedPrefill(t *testing.T) {
 	defer d.Close()
 	r, err := NewRouter(RouterConfig{
 		Prefills: []string{prefills[0].Addr(), prefills[1].Addr()}, Decodes: []string{d.Addr()},
-		ModelSeed: testModelSeed, HealthInterval: time.Hour,
+		ModelSeed: testModelSeed,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -264,7 +266,7 @@ func TestIdleDecodeTiesSpreadRequests(t *testing.T) {
 	}
 	r, err := NewRouter(RouterConfig{
 		Prefills: []string{p.Addr()}, Decodes: decodes,
-		ModelSeed: testModelSeed, HealthInterval: time.Hour,
+		ModelSeed: testModelSeed,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -284,5 +286,208 @@ func TestIdleDecodeTiesSpreadRequests(t *testing.T) {
 		if rep.Requests != 2 {
 			t.Errorf("replica %s served %d requests, want 2 of 4", rep.Addr, rep.Requests)
 		}
+	}
+}
+
+// routeAndCheck sends req through r and requires the single-process
+// reference stream.
+func routeAndCheck(t *testing.T, r *Router, req Request, want []int) {
+	t.Helper()
+	st, err := r.Submit(context.Background(), req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := collectRouted(st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("routed %v, reference %v", got, want)
+	}
+}
+
+// TestHealedReplicaRejoins partitions replica 0 for a single request,
+// heals the link, and sends eight sequential requests: replica 0 must
+// serve some of them. The one failed dial counts against its breaker,
+// which stays closed, so nothing keeps the healed replica out of
+// placement.
+func TestHealedReplicaRejoins(t *testing.T) {
+	inj := chaos.NewInjector(7)
+	c := newCluster(t, 2, func(rc *RouterConfig) {
+		rc.Chaos = inj
+		rc.RetryBackoff = time.Millisecond
+	})
+	ref := newReference(t)
+	req := Request{Prompt: []int{2, 7, 1, 8, 2, 8}, MaxNewTokens: 4, Seed: 9}
+	want := refTokens(t, ref, req)
+
+	// Equal load and no requests served: the first placement goes to the
+	// first-registered replica, across the partition.
+	inj.SetPlan(c.decodes[0].Addr(), chaos.Plan{Partition: true})
+	routeAndCheck(t, c.router, req, want)
+	if inj.Stats().DialsRefused == 0 || c.router.Report().Retries == 0 {
+		t.Fatalf("the request never met the partition: %+v, %+v", inj.Stats(), c.router.Report())
+	}
+	inj.Heal()
+
+	before := c.decodes[0].Stats().Completed
+	for i := 0; i < 8; i++ {
+		routeAndCheck(t, c.router, req, want)
+	}
+	if served := c.decodes[0].Stats().Completed - before; served == 0 {
+		t.Fatalf("the healed replica served 0 of 8 requests: %+v", c.router.Report().Replicas)
+	}
+}
+
+// TestDrainedReplicaRejoinsAfterRestart drains one of two replicas. Its
+// "draining" reply to the first request marks it, and the other replica
+// serves every request after that. A node restarted at the drained
+// one's address says in its Hello that it is not draining, and the
+// rejoin loop puts it back in placement.
+func TestDrainedReplicaRejoinsAfterRestart(t *testing.T) {
+	c := newCluster(t, 2, func(rc *RouterConfig) {
+		rc.RetryBackoff = time.Millisecond
+		rc.BreakerCooldown = 20 * time.Millisecond
+	})
+	ref := newReference(t)
+	req := Request{Prompt: []int{1, 4, 1, 4, 2}, MaxNewTokens: 4, Seed: 3}
+	want := refTokens(t, ref, req)
+
+	drained, live := c.decodes[0], c.decodes[1]
+	addr := drained.Addr()
+	drained.Drain()
+	for !drained.rt.Draining() {
+		time.Sleep(time.Millisecond)
+	}
+	for i := 0; i < 4; i++ {
+		routeAndCheck(t, c.router, req, want)
+	}
+	if n := drained.Stats().Completed; n != 0 {
+		t.Fatalf("the draining replica completed %d requests", n)
+	}
+	if n := live.Stats().Completed; n != 4 {
+		t.Fatalf("the live replica completed %d of 4 requests", n)
+	}
+
+	drained.Close()
+	restarted, err := NewNode(NodeConfig{Addr: addr, Serve: testServeConfig()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { restarted.Close() })
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		var rs ReplicaStatus
+		for _, s := range c.router.Report().Replicas {
+			if s.Addr == addr {
+				rs = s
+			}
+		}
+		if !rs.Draining && rs.Breaker.State == "closed" {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("the restarted replica never rejoined: %+v", rs)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	for i := 0; i < 4; i++ {
+		routeAndCheck(t, c.router, req, want)
+	}
+	if restarted.Stats().Completed == 0 {
+		t.Fatalf("the restarted replica served none of 4 requests: %+v", c.router.Report().Replicas)
+	}
+}
+
+// TestUnreachableReplicaRegisters adds a decode replica whose address
+// answers nothing yet: AddReplica registers it with the failed dial
+// charged to its breaker, and once a node listens there it serves.
+func TestUnreachableReplicaRegisters(t *testing.T) {
+	p, err := NewNode(NodeConfig{Addr: "127.0.0.1:0", Role: "prefill", Serve: testServeConfig()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := ln.Addr().String()
+	ln.Close()
+	r, err := NewRouter(RouterConfig{Prefills: []string{p.Addr()}, Decodes: []string{addr},
+		ModelSeed: testModelSeed})
+	if err != nil {
+		t.Fatalf("unreachable replica refused: %v", err)
+	}
+	defer r.Close()
+	if rs := r.Report().Replicas; len(rs) != 1 || rs[0].Breaker.ConsecutiveFails != 1 {
+		t.Fatalf("the failed dial did not reach the breaker: %+v", rs)
+	}
+
+	d, err := NewNode(NodeConfig{Addr: addr, Serve: testServeConfig()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	req := Request{Prompt: []int{6, 2, 8}, MaxNewTokens: 3, Seed: 1}
+	routeAndCheck(t, r, req, refTokens(t, newReference(t), req))
+}
+
+// TestAbandonedRequestStopsDecoding cancels a routed request with a
+// 4096-token budget after its first token. The router hangs up on the
+// decode replica, whose next token write fails; the job's end must then
+// stop the runtime decoding for it too, so the replica counts the
+// request canceled, far short of its budget.
+func TestAbandonedRequestStopsDecoding(t *testing.T) {
+	cfg := testServeConfig()
+	cfg.MaxNewTokens = 4096
+	p, err := NewNode(NodeConfig{Addr: "127.0.0.1:0", Role: "prefill", Serve: cfg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	d, err := NewNode(NodeConfig{Addr: "127.0.0.1:0", Serve: cfg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	r, err := NewRouter(RouterConfig{Prefills: []string{p.Addr()}, Decodes: []string{d.Addr()},
+		ModelSeed: testModelSeed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	st, err := r.Submit(ctx, Request{Prompt: []int{3, 1, 4, 1, 5, 9}, MaxNewTokens: 4096, Seed: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := <-st.Tokens(); !ok {
+		t.Fatalf("stream ended before its first token: %v", st.Err())
+	}
+	cancel()
+	for range st.Tokens() {
+	}
+	if err := st.Err(); !errors.Is(err, context.Canceled) {
+		t.Fatalf("abandoned stream ended with %v, want context.Canceled", err)
+	}
+
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		s := d.Stats()
+		if s.Canceled == 1 {
+			if s.Completed != 0 || s.TokensStreamed >= 1024 {
+				t.Fatalf("decode node completed %d, streamed %d tokens of an abandoned request",
+					s.Completed, s.TokensStreamed)
+			}
+			return
+		}
+		if s.Completed != 0 || time.Now().After(deadline) {
+			t.Fatalf("decode node kept decoding the abandoned request: canceled %d, completed %d, %d tokens",
+				s.Canceled, s.Completed, s.TokensStreamed)
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
 }

@@ -151,6 +151,32 @@ func NearestRank(xs []float64, p float64) float64 {
 	return sorted[rank-1]
 }
 
+// RingSize bounds each Ring: once full, a new sample overwrites the
+// oldest, so a summary tracks recent behaviour at O(1) memory under
+// sustained load.
+const RingSize = 4096
+
+// Ring is a bounded latency reservoir holding the most recent RingSize
+// samples. It is not safe for concurrent use; its owner holds the lock.
+type Ring struct {
+	xs   []float64
+	next int
+}
+
+// Add records one sample, overwriting the oldest once the ring is full.
+func (r *Ring) Add(x float64) {
+	if len(r.xs) < RingSize {
+		r.xs = append(r.xs, x)
+		return
+	}
+	r.xs[r.next] = x
+	r.next = (r.next + 1) % RingSize
+}
+
+// Snapshot copies the held samples, so the caller can summarize them
+// after releasing its lock.
+func (r *Ring) Snapshot() []float64 { return append([]float64(nil), r.xs...) }
+
 // PercentileSummary is the nearest-rank p50/p90/p99 of one latency
 // metric, in seconds.
 type PercentileSummary struct {

@@ -192,3 +192,39 @@ func TestNearestRank(t *testing.T) {
 		t.Errorf("Summarize = %+v", s)
 	}
 }
+
+// TestRingWraps fills a Ring past RingSize: it keeps exactly the newest
+// RingSize samples, overwriting the oldest first, and a snapshot is a
+// copy the ring's later writes cannot reach.
+func TestRingWraps(t *testing.T) {
+	var r Ring
+	for i := 0; i < RingSize; i++ {
+		r.Add(float64(i))
+	}
+	full := r.Snapshot()
+	if len(full) != RingSize || full[0] != 0 || full[RingSize-1] != RingSize-1 {
+		t.Fatalf("full ring: len %d, first %v, last %v", len(full), full[0], full[RingSize-1])
+	}
+	const extra = 3
+	for i := RingSize; i < RingSize+extra; i++ {
+		r.Add(float64(i))
+	}
+	got := r.Snapshot()
+	if len(got) != RingSize {
+		t.Fatalf("wrapped ring holds %d samples, want %d", len(got), RingSize)
+	}
+	for i := 0; i < extra; i++ {
+		if got[i] != float64(RingSize+i) {
+			t.Fatalf("slot %d = %v, want the newest sample %d", i, got[i], RingSize+i)
+		}
+	}
+	if got[extra] != extra {
+		t.Fatalf("slot %d = %v, want the oldest survivor %d", extra, got[extra], extra)
+	}
+	if full[0] != 0 {
+		t.Fatal("a snapshot shares memory with the ring")
+	}
+	if s := Summarize(got); s.P50 != float64(extra+RingSize/2-1) || s.P99 == 0 {
+		t.Fatalf("summary of the wrapped ring: %+v", s)
+	}
+}

@@ -79,7 +79,7 @@ func FuzzFrameReadFrom(f *testing.F) {
 func FuzzWireReadMessage(f *testing.F) {
 	var seed bytes.Buffer
 	hello := Hello{Role: "prefill", NodeID: "p0", Method: "hack-pi64",
-		ModelSeed: 7, SpecName: "toy", Vocab: 128, HTTPAddr: "127.0.0.1:1"}
+		ModelSeed: 7, SpecName: "toy", Vocab: 128, Draining: true}
 	helloJSON, err := json.Marshal(hello.seal())
 	if err != nil {
 		f.Fatal(err)

@@ -157,8 +157,8 @@ var ErrChecksum = errors.New("netsim: message checksum mismatch")
 
 // Hello is the handshake payload both ends exchange before any other
 // message. The responder validates compatibility (version, model,
-// method) and advertises its HTTP address so routers can poll /healthz
-// without separate peer configuration.
+// method) and reports whether it is draining, so every connection a
+// router opens also tells it whether the peer takes new work.
 type Hello struct {
 	Magic   uint32 `json:"magic"`
 	Version int    `json:"version"`
@@ -173,8 +173,9 @@ type Hello struct {
 	ModelSeed int64  `json:"model_seed"`
 	SpecName  string `json:"spec_name"`
 	Vocab     int    `json:"vocab"`
-	// HTTPAddr is the node's HTTP endpoint (metrics + health), if any.
-	HTTPAddr string `json:"http_addr,omitempty"`
+	// Draining is the responder's state when it answered: true once it
+	// has begun a graceful shutdown and refuses new jobs.
+	Draining bool `json:"draining,omitempty"`
 }
 
 // ParseHello decodes and validates a handshake payload.

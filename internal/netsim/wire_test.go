@@ -106,7 +106,7 @@ func TestHandshake(t *testing.T) {
 	initiator := Hello{Role: "router", NodeID: "r0", Method: "hack-pi64",
 		ModelSeed: 7, SpecName: "toy", Vocab: 128}
 	responder := Hello{Role: "decode", NodeID: "d0", Method: "hack-pi64",
-		ModelSeed: 7, SpecName: "toy", Vocab: 128, HTTPAddr: "127.0.0.1:9999"}
+		ModelSeed: 7, SpecName: "toy", Vocab: 128, Draining: true}
 
 	done := make(chan error, 1)
 	var gotPeer Hello
@@ -127,7 +127,7 @@ func TestHandshake(t *testing.T) {
 	if err := <-done; err != nil {
 		t.Fatal(err)
 	}
-	if peer.Role != "decode" || peer.NodeID != "d0" || peer.HTTPAddr != "127.0.0.1:9999" {
+	if peer.Role != "decode" || peer.NodeID != "d0" || !peer.Draining {
 		t.Fatalf("initiator saw peer %+v", peer)
 	}
 	if gotPeer.Role != "router" || gotPeer.NodeID != "r0" {

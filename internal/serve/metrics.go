@@ -7,28 +7,6 @@ import (
 	"github.com/hackkv/hack/internal/metrics"
 )
 
-// maxSamples bounds each latency reservoir; once full, new samples
-// overwrite the oldest so snapshots track recent behavior at O(1)
-// memory under sustained load.
-const maxSamples = 4096
-
-// ring is a bounded latency sample buffer.
-type ring struct {
-	xs   []float64
-	next int
-}
-
-func (r *ring) add(x float64) {
-	if len(r.xs) < maxSamples {
-		r.xs = append(r.xs, x)
-		return
-	}
-	r.xs[r.next] = x
-	r.next = (r.next + 1) % maxSamples
-}
-
-func (r *ring) snapshot() []float64 { return append([]float64(nil), r.xs...) }
-
 // recorder aggregates the live serving metrics: lock-free counters on
 // the hot paths, and mutex-guarded bounded reservoirs for the latency
 // percentiles.
@@ -53,26 +31,26 @@ type recorder struct {
 	prefixErrors atomic.Int64
 
 	mu      sync.Mutex
-	ttfts   ring
-	tbts    ring
-	queueDs ring
+	ttfts   metrics.Ring
+	tbts    metrics.Ring
+	queueDs metrics.Ring
 }
 
 func (r *recorder) ttft(s float64) {
 	r.mu.Lock()
-	r.ttfts.add(s)
+	r.ttfts.Add(s)
 	r.mu.Unlock()
 }
 
 func (r *recorder) tbt(s float64) {
 	r.mu.Lock()
-	r.tbts.add(s)
+	r.tbts.Add(s)
 	r.mu.Unlock()
 }
 
 func (r *recorder) queueDelay(s float64) {
 	r.mu.Lock()
-	r.queueDs.add(s)
+	r.queueDs.Add(s)
 	r.mu.Unlock()
 }
 
@@ -161,7 +139,7 @@ func (s *Server) Metrics() Snapshot {
 		out.PrefixCache = &st
 	}
 	r.mu.Lock()
-	ttfts, tbts, qds := r.ttfts.snapshot(), r.tbts.snapshot(), r.queueDs.snapshot()
+	ttfts, tbts, qds := r.ttfts.Snapshot(), r.tbts.Snapshot(), r.queueDs.Snapshot()
 	r.mu.Unlock()
 	out.TTFT = metrics.Summarize(ttfts)
 	out.TBT = metrics.Summarize(tbts)

@@ -158,7 +158,6 @@ func TestDisaggPrefixTierOnPrefillRole(t *testing.T) {
 	defer decode.Close()
 	router, err := disaggEngine(t, hack.RoleRouter,
 		hack.WithPeers([]string{prefill.WireAddr()}, []string{decode.WireAddr()}),
-		hack.WithDisaggConfig(hack.DisaggConfig{HealthInterval: time.Hour}),
 	).ListenDisagg(ctx)
 	if err != nil {
 		t.Fatal(err)
