@@ -10,9 +10,10 @@
 //
 // The shapes mirror internal/hack/bench_test.go: decode-shaped Q·Kᵀ
 // (1×128 · 4096×128ᵀ) and prefill-shaped P·V (256×2048 · 2048×128) at
-// Π=32 and Π=128. The JSON records ns/op, bytes/op and allocs/op per
-// benchmark plus the fast-over-scalar speedups the acceptance targets
-// track (≥3× decode, ≥2× prefill).
+// Π=32 and Π=128; the causal softmax and SiLU run at the served prefill
+// shape against their scalar math.Exp loops. The JSON records ns/op,
+// bytes/op and allocs/op per benchmark plus the fast-over-scalar speedups
+// the acceptance targets track (≥3× decode, ≥2× prefill).
 package main
 
 import (
@@ -20,6 +21,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"math"
 	"math/rand"
 	"os"
 	"runtime"
@@ -261,6 +263,46 @@ func main() {
 		}))
 	}
 
+	// The float elementwise kernels of a served prefill: the causal
+	// softmax of one head's 394-token score matrix, and SiLU over the Toy
+	// model's 394×128 MLP activations, each against the scalar math.Exp
+	// loop it replaced. The operands do not shrink under -quick.
+	{
+		const l, mlp = 394, 128
+		scores := tensor.RandNormal(rand.New(rand.NewSource(8)), l, l, 1)
+		fast := add(measure(fmt.Sprintf("Softmax/causal_%dx%d", l, l), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				tensor.CausalSoftmax(scores, 0, 1)
+			}
+		}))
+		scalar := add(measure(fmt.Sprintf("SoftmaxScalar/causal_%dx%d", l, l), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				causalSoftmaxScalar(scores)
+			}
+		}))
+		rep.Speedups["softmax_causal_394"] = scalar.NsPerOp / fast.NsPerOp
+
+		act := tensor.RandNormal(rand.New(rand.NewSource(9)), l, mlp, 1)
+		x := tensor.New(l, mlp)
+		fast = add(measure(fmt.Sprintf("SiLU/%dx%d", l, mlp), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				copy(x.Data, act.Data)
+				tensor.SiLU(x)
+			}
+		}))
+		scalar = add(measure(fmt.Sprintf("SiLUScalar/%dx%d", l, mlp), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				copy(x.Data, act.Data)
+				siluScalar(x.Data)
+			}
+		}))
+		rep.Speedups["silu_394x128"] = scalar.NsPerOp / fast.NsPerOp
+	}
+
 	add(measure(fmt.Sprintf("AttentionDecode/HACK_L%d/pi64", attnL), benchAttention(func() (attention.Backend, error) {
 		return attention.NewHACK(attention.DefaultHACKConfig(11))
 	}, 128, attnL)))
@@ -300,11 +342,46 @@ func main() {
 	if err := f.Close(); err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("\nspeedups vs scalar: decode pi128 %.2fx, pi32 %.2fx; prefill pi128 %.2fx, pi32 %.2fx; multi-row tile %.2fx\n",
+	fmt.Printf("\nspeedups vs scalar: decode pi128 %.2fx, pi32 %.2fx; prefill pi128 %.2fx, pi32 %.2fx; multi-row tile %.2fx; softmax %.2fx; silu %.2fx\n",
 		rep.Speedups["decode_pi128"], rep.Speedups["decode_pi32"],
 		rep.Speedups["prefill_pi128"], rep.Speedups["prefill_pi32"],
-		rep.Speedups["multirow_qk_pi64"])
+		rep.Speedups["multirow_qk_pi64"], rep.Speedups["softmax_causal_394"], rep.Speedups["silu_394x128"])
 	fmt.Printf("wrote %s\n", *out)
+}
+
+// causalSoftmaxScalar is tensor.CausalSoftmax (offset 0, scale 1) as
+// scalar loops over math.Exp: the reference its vector kernels reproduce
+// bit for bit. Repeated in place, every row stays a softmax input in the
+// vector exp's domain, so both sides time the same work each iteration.
+func causalSoftmaxScalar(m *tensor.Matrix) {
+	for i := 0; i < m.Rows; i++ {
+		row := m.Row(i)
+		live := row[:i+1]
+		maxv := float32(math.Inf(-1))
+		for _, v := range live {
+			if v > maxv {
+				maxv = v
+			}
+		}
+		var sum float32
+		for j, v := range live {
+			e := float32(math.Exp(float64(v - maxv)))
+			live[j] = e
+			sum += e
+		}
+		inv := 1 / sum
+		for j := range live {
+			live[j] *= inv
+		}
+		clear(row[len(live):])
+	}
+}
+
+// siluScalar is tensor.SiLU as the scalar math.Exp loop.
+func siluScalar(x []float32) {
+	for i, v := range x {
+		x[i] = v / float32(1+math.Exp(float64(-v)))
+	}
 }
 
 // benchPrefixPrefill measures the shared-prefix warm path against the

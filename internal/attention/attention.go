@@ -199,7 +199,7 @@ type exactHead struct {
 func (h *exactHead) Prefill(q, k, v *tensor.Matrix) (*tensor.Matrix, Stats, error) {
 	h.k = tensor.AppendRows(h.k, k)
 	h.v = tensor.AppendRows(h.v, v)
-	out := h.out.Reset(q.Rows, q.Cols)
+	out := h.out.Reshape(q.Rows, q.Cols)
 	st, err := prefillTiles(h, &h.sc, q, out, h.k.Rows-q.Rows, floatWorkers(), 0)
 	return out, st, err
 }
@@ -257,7 +257,7 @@ func (h *fp16Head) Prefill(q, k, v *tensor.Matrix) (*tensor.Matrix, Stats, error
 	if err := h.c.Append(k, v); err != nil {
 		return nil, Stats{}, err
 	}
-	out := h.out.Reset(q.Rows, q.Cols)
+	out := h.out.Reshape(q.Rows, q.Cols)
 	st, err := prefillTiles(h, &h.sc, q, out, h.c.Len()-q.Rows, floatWorkers(), 0)
 	return out, st, err
 }
@@ -362,7 +362,7 @@ func (h *dequantHead) Prefill(q, k, v *tensor.Matrix) (*tensor.Matrix, Stats, er
 	// Dequantized once; every tile reads the same dk and dv.
 	dk, _ := h.c.DequantizeKVInto(&h.dk, &h.dv)
 	st.DequantOps = 4 * int64(dk.Rows) * int64(dk.Cols)
-	out := h.out.Reset(q.Rows, q.Cols)
+	out := h.out.Reshape(q.Rows, q.Cols)
 	ts, err := prefillTiles(h, &h.sc, q, out, dk.Rows-q.Rows, floatWorkers(), 0)
 	st.Add(ts)
 	return out, st, err
@@ -632,7 +632,7 @@ func (h *hackHead) Prefill(q, k, v *tensor.Matrix) (*tensor.Matrix, Stats, error
 	st.QuantOps += 2 * 2 * int64(k.Rows) * int64(k.Cols) // K and V quantization
 	before := h.c.RequantOps
 	h.fetchTail(q.Cols, &st)
-	out := h.out.Reset(q.Rows, q.Cols)
+	out := h.out.Reshape(q.Rows, q.Cols)
 	ts, err := prefillTiles(h, &h.sc, q, out, h.c.Len()-q.Rows, hack.Workers(h.cfg.Parallelism), h.cfg.Parallelism)
 	st.Add(ts)
 	st.RequantOps += h.c.RequantOps - before
@@ -650,7 +650,7 @@ func (h *hackHead) Decode(q, k, v *tensor.Matrix) (*tensor.Matrix, Stats, error)
 	}
 	st.QuantOps += 2 * 2 * int64(k.Cols)
 	h.fetchTail(q.Cols, &st)
-	out := h.out.Reset(q.Rows, q.Cols)
+	out := h.out.Reshape(q.Rows, q.Cols)
 	ts, err := h.attend(&h.sc, q, out, h.c.Len()-q.Rows, -1, h.cfg.Parallelism)
 	st.Add(ts)
 	st.RequantOps += h.c.RequantOps - before

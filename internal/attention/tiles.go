@@ -33,7 +33,9 @@ var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
 // tileAttender is a head's prefill body over one block of query rows.
 type tileAttender interface {
 	// attendTile writes the causal attention of the query rows q into
-	// out (q.Rows × d_h, already shaped): q's row i attends cached key
+	// out (q.Rows × d_h, already shaped; its old contents are zeroed
+	// before anything accumulates into them, so callers Reshape rather
+	// than Reset it): q's row i attends cached key
 	// positions 0..off+i. Every step is row-local and every quantizer
 	// draw is keyed by absolute position, so a row's output does not
 	// depend on the block it is computed in. kernelPar is the

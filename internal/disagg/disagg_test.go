@@ -375,10 +375,10 @@ func TestFailoverMidStream(t *testing.T) {
 }
 
 // TestDrainAwareRemoval drains the only replica and requires the router
-// to learn the drain from the replica's own "draining" reply to a decode
-// job — it polls nothing — and then keep it out of placement: the next
-// submission fails with ErrNoReplicas instead of landing on a draining
-// node.
+// to learn the drain from the replica's own hello when it dials it for a
+// decode job — it polls nothing — before relaying any KV, and then keep
+// it out of placement: that request and the next fail with ErrNoReplicas
+// instead of landing on a draining node.
 func TestDrainAwareRemoval(t *testing.T) {
 	c := newCluster(t, 1, func(rc *RouterConfig) { rc.RetryBackoff = 5 * time.Millisecond })
 	ref := newReference(t)
@@ -409,11 +409,14 @@ func TestDrainAwareRemoval(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := collectRouted(st); err == nil {
-		t.Fatal("a draining replica served a request")
+	// Its hello says it is draining, so the router sends it nothing and
+	// the request fails as having no replica left, not as a transfer
+	// fault; the refused job does not count as one the replica took.
+	if _, err := collectRouted(st); !errors.Is(err, ErrNoReplicas) {
+		t.Fatalf("the only replica drained, got %v, want ErrNoReplicas", err)
 	}
-	if rep := c.router.Report(); len(rep.Replicas) != 1 || !rep.Replicas[0].Draining {
-		t.Fatalf("the draining reply did not mark the replica: %+v", rep.Replicas)
+	if rep := c.router.Report(); len(rep.Replicas) != 1 || !rep.Replicas[0].Draining || rep.Replicas[0].Requests != 1 {
+		t.Fatalf("the draining hello did not mark the replica, or it was sent the job: %+v", rep.Replicas)
 	}
 
 	st, err = c.router.Submit(context.Background(), req)

@@ -807,7 +807,6 @@ func (r *Router) runDecode(ctx context.Context, id uint64, req Request, x *trans
 	var d delivery
 	var lastErr error
 	var lastFailed *replica
-	sawReplica := false
 	for attempt := 0; ; attempt++ {
 		if attempt > 0 {
 			if r.cfg.RetryMax >= 0 && attempt > r.cfg.RetryMax {
@@ -829,7 +828,6 @@ func (r *Router) runDecode(ctx context.Context, id uint64, req Request, x *trans
 			lastErr = ErrNoReplicas
 			continue
 		}
-		sawReplica = true
 		err, terminal := r.tryDecode(ctx, rep, id, req, x, st, &d)
 		if err == nil {
 			if !d.first.IsZero() {
@@ -846,7 +844,9 @@ func (r *Router) runDecode(ctx context.Context, id uint64, req Request, x *trans
 			r.failovers.Add(1) // died mid-stream; the next attempt resumes it
 		}
 	}
-	if !sawReplica {
+	if lastErr == ErrNoReplicas {
+		// The final pick found no replica: they drained or went away
+		// while this request waited, whatever the earlier attempts met.
 		return ErrNoReplicas
 	}
 	return fmt.Errorf("%w: %v", ErrTransferFailed, lastErr)
@@ -887,12 +887,18 @@ func (r *Router) tryDecode(ctx context.Context, rep *replica, id uint64, req Req
 		}
 	}()
 
-	conn, _, err := r.dial(rep.addr)
+	conn, peer, err := r.dial(rep.addr)
 	if err != nil {
 		verdict = -1
 		return err, false
 	}
 	defer conn.Close()
+	if peer.Draining {
+		// The replica said so in its hello: send it nothing, so the KV
+		// log is not relayed to a node that will refuse the job.
+		rep.draining.Store(true)
+		return fmt.Errorf("disagg: decode %s: draining", rep.addr), false
+	}
 	stop := context.AfterFunc(ctx, func() { conn.Close() })
 	defer stop()
 

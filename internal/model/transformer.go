@@ -85,14 +85,6 @@ func rmsNorm(x *tensor.Matrix) *tensor.Matrix {
 	return out
 }
 
-// silu applies x·σ(x) in place.
-func silu(x *tensor.Matrix) *tensor.Matrix {
-	for i, v := range x.Data {
-		x.Data[i] = v / float32(1+math.Exp(float64(-v)))
-	}
-	return x
-}
-
 // Session is per-sequence inference state: one attention.Head per
 // (layer, head) built from the chosen backend.
 type Session struct {
@@ -201,7 +193,7 @@ func (s *Session) forward(x *tensor.Matrix, p pass) (*tensor.Matrix, error) {
 		}
 		x = x.Clone().Add(tensor.MatMul(concat, w.wo))
 		mlpIn := rmsNorm(x)
-		x = x.Add(tensor.MatMul(silu(tensor.MatMul(mlpIn, w.w1)), w.w2))
+		x = x.Add(tensor.MatMul(tensor.SiLU(tensor.MatMul(mlpIn, w.w1)), w.w2))
 	}
 	return x, nil
 }

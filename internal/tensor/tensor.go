@@ -7,6 +7,21 @@
 // stand-in for the paper's FP16/FP32 mix; FP16 storage effects are applied
 // explicitly via the fp16 package where the paper stores or transmits
 // half-precision data.
+//
+// Exactness contract. Every kernel here returns the same bits on every
+// machine and through every code path: the AVX2 forms (amd64 with AVX2,
+// probed by package cpufeat) repeat the scalar loops' roundings in the
+// scalar loops' order, and no product is fused into a sum. Softmax and
+// SiLU exponentiate with Exp, the algorithm of math.Exp's pure-Go form
+// written in this package, not with math.Exp, whose amd64 assembly is a
+// different algorithm; the AVX2 lanes compute Exp's operations in Exp's
+// order for |x| ≤ 104 and hand every other input to Exp. Rounded to
+// float32, Exp equals math.Exp on every input these kernels feed it, as
+// TestExpExhaustive checks in both forms (-exp.exhaustive): every non-NaN
+// float32 x in [−104, 0) for a softmax exp(v − max) (below −104 both
+// round to 0), and every non-NaN float32 v for SiLU's
+// v / float32(1+exp(−v)). So a served token is the one math.Exp would
+// give, on every host.
 package tensor
 
 import (
@@ -58,36 +73,47 @@ func (m *Matrix) Clone() *Matrix {
 
 // Reset reshapes m to rows×cols and zeroes every element, reusing the
 // backing array when it has capacity. It is the destination-reuse
-// primitive behind the *Into kernels: a matrix Reset in a loop allocates
-// only when it grows past its high-water mark. It panics on a negative
-// dimension and returns m.
+// primitive behind the accumulating *Into kernels: a matrix Reset in a
+// loop allocates only when it grows past its high-water mark. It panics
+// on a negative dimension and returns m.
 func (m *Matrix) Reset(rows, cols int) *Matrix {
+	if m.reshape(rows, cols) {
+		clear(m.Data)
+	}
+	return m
+}
+
+// Reshape is Reset without the zeroing: the elements hold whatever the
+// reused backing array held, for a kernel that writes every element
+// before anything reads it. It panics on a negative dimension and
+// returns m.
+func (m *Matrix) Reshape(rows, cols int) *Matrix {
+	m.reshape(rows, cols)
+	return m
+}
+
+// reshape sets m's shape and length, and reports whether it kept the old
+// backing array (so its elements are stale, not fresh zeros).
+func (m *Matrix) reshape(rows, cols int) (reused bool) {
 	if rows < 0 || cols < 0 {
 		panic(fmt.Sprintf("tensor: invalid shape %dx%d", rows, cols))
 	}
-	n := rows * cols
-	if cap(m.Data) < n {
-		// Grow geometrically so a matrix resized upward one row at a
-		// time (the decode loop's score buffer) reallocates O(log n)
-		// times, not every call.
-		c := 2 * cap(m.Data)
-		if c < n {
-			c = n
-		}
-		m.Data = make([]float32, n, c)
-	} else {
-		m.Data = m.Data[:n]
-		for i := range m.Data {
-			m.Data[i] = 0
-		}
-	}
 	m.Rows, m.Cols = rows, cols
-	return m
+	n := rows * cols
+	if cap(m.Data) >= n {
+		m.Data = m.Data[:n]
+		return true
+	}
+	// Grow geometrically so a matrix resized upward one row at a time
+	// (the decode loop's score buffer) reallocates O(log n) times, not
+	// every call.
+	m.Data = make([]float32, n, max(n, 2*cap(m.Data)))
+	return false
 }
 
 // CopyInto copies src into m, reshaping m as needed, and returns m.
 func (m *Matrix) CopyInto(src *Matrix) *Matrix {
-	m.Reset(src.Rows, src.Cols)
+	m.Reshape(src.Rows, src.Cols)
 	copy(m.Data, src.Data)
 	return m
 }
@@ -112,7 +138,7 @@ func (m *Matrix) SliceColsInto(dst *Matrix, lo, hi int) *Matrix {
 	if lo < 0 || hi > m.Cols || lo > hi {
 		panic(fmt.Sprintf("tensor: col slice [%d:%d) out of range for %d cols", lo, hi, m.Cols))
 	}
-	dst.Reset(m.Rows, hi-lo)
+	dst.Reshape(m.Rows, hi-lo)
 	for i := 0; i < m.Rows; i++ {
 		copy(dst.Row(i), m.Row(i)[lo:hi])
 	}
@@ -222,12 +248,13 @@ func MatMulTransB(a, b *Matrix) *Matrix {
 }
 
 // MatMulTransBInto computes a × bᵀ into dst (reshaped first), returning
-// dst — MatMulTransB without the per-call output allocation.
+// dst — MatMulTransB without the per-call output allocation. Every
+// element is written, so dst is not cleared first.
 func MatMulTransBInto(dst, a, b *Matrix) *Matrix {
 	if a.Cols != b.Cols {
 		panic(fmt.Sprintf("tensor: matmulT shape %dx%d × (%dx%d)ᵀ", a.Rows, a.Cols, b.Rows, b.Cols))
 	}
-	dst.Reset(a.Rows, b.Rows)
+	dst.Reshape(a.Rows, b.Rows)
 	for i := 0; i < a.Rows; i++ {
 		arow := a.Row(i)
 		orow := dst.Row(i)
@@ -260,70 +287,6 @@ func (m *Matrix) Add(b *Matrix) *Matrix {
 		m.Data[i] += v
 	}
 	return m
-}
-
-// Softmax applies the row-wise softmax of Eq. (3) in place and returns m.
-// Each row is shifted by its maximum before exponentiation for numerical
-// stability, matching production attention kernels.
-func Softmax(m *Matrix) *Matrix {
-	for i := 0; i < m.Rows; i++ {
-		softmaxRow(m.Row(i))
-	}
-	return m
-}
-
-// CausalSoftmax is the causal attention softmax of a score matrix whose
-// row i is query position offset+i over key positions 0..m.Cols-1: it
-// multiplies row i's live prefix — columns 0..i+offset — by scale,
-// softmaxes it, and sets every column past it to 0. The result is
-// bit-identical to scaling the whole matrix, masking the future with
-// −∞ and applying Softmax (a masked exp is an exact 0, and adding 0 to
-// the row sum changes nothing), without touching the masked half. It
-// returns m.
-func CausalSoftmax(m *Matrix, offset int, scale float32) *Matrix {
-	for i := 0; i < m.Rows; i++ {
-		row := m.Row(i)
-		live := row[:LiveCols(i, offset, m.Cols)]
-		for j := range live {
-			live[j] *= scale
-		}
-		softmaxRow(live)
-		clear(row[len(live):])
-	}
-	return m
-}
-
-// LiveCols returns how many of n key columns query row i of a causal
-// product attends: the columns 0..i+offset, capped at n. A negative
-// offset means no mask (a decode step attends to everything).
-func LiveCols(i, offset, n int) int {
-	if offset < 0 || i+offset+1 > n {
-		return n
-	}
-	return i + offset + 1
-}
-
-// softmaxRow applies the max-shifted softmax to one row in place.
-func softmaxRow(row []float32) {
-	maxv := float32(math.Inf(-1))
-	for _, v := range row {
-		if v > maxv {
-			maxv = v
-		}
-	}
-	var sum float32
-	for j, v := range row {
-		e := float32(math.Exp(float64(v - maxv)))
-		row[j] = e
-		sum += e
-	}
-	if sum == 0 {
-		return
-	}
-	inv := 1 / sum
-	for j := range row {
-		row[j] *= inv
-	}
 }
 
 // RandNormal fills a new rows x cols matrix with N(0, stddev²) values from
